@@ -247,11 +247,15 @@ def _get_plan(config, cache, split_idx, cv_idx, r, p) -> SensorPlan:
         tail = _random_tail(basis.n, pivots, p - pivots.size, seed)
         method = "qr+random-oversample"
     else:
-        key = (split_idx, config.basis_kind, r, p)
+        # The greedy is prefix-consistent, so one tail per (split, r) serves
+        # every p; a longer request recomputes it as a fresh cache would.
+        key = (split_idx, config.basis_kind, r)
+        count = p - pivots.size
         tail = cache.greedy_tails.get(key)
-        if tail is None:
-            tail = kernels.sigma_min_tail(basis.psi, pivots, p - pivots.size)
+        if tail is None or tail.size < count:
+            tail = kernels.sigma_min_tail(basis.psi, pivots, count)
             cache.greedy_tails[key] = tail
+        tail = tail[:count]
         method = "qr+odeim-e"
     return SensorPlan(np.concatenate([pivots, tail]), method, r)
 
@@ -324,10 +328,13 @@ def _trial_indices(config):
 
 def _prefill(config, cache, cells):
     """Compute per-split artifacts sequentially so parallel trials only read."""
-    resolved = [_resolve_cell(config, cell) for cell in cells]
+    # Greedy tails are computed once per r, at the largest p that needs it.
+    longest: dict[int, int] = {}
+    for r, p, _ in (_resolve_cell(config, cell) for cell in cells):
+        longest[r] = max(longest.get(r, 0), p)
     for s in range(config.n_splits):
         _get_split(config, cache, s)
-        for r, p, _ in resolved:
+        for r, p in longest.items():
             _get_pivot_order(config, cache, s, r)
             if p > min(r, config.dataset.n) and config.policy.oversample == "odeim-e":
                 _get_plan(config, cache, s, 0, r, p)

@@ -1,20 +1,37 @@
-"""Hot numeric kernels with twin implementations.
+"""Hot numeric kernels.
 
 Two inner loops dominate runtime: column-pivoted Householder QR (sensor
 ranking) and the greedy smallest-singular-value row scan (principled
-oversampling). Each has a numba ``@njit`` version and a vectorized
-pure-numpy fallback. The active path is fixed at import time from the
-``SPARSESENSE_BACKEND`` environment variable:
+oversampling).
+
+CPQR has a numba ``@njit`` version and a vectorized pure-numpy fallback. The
+active path is fixed at import time from the ``SPARSESENSE_BACKEND``
+environment variable:
 
 * ``auto`` (default): numba when importable, numpy otherwise
 * ``numba``: require numba, fail loudly if missing
 * ``numpy``: force the fallback
 
-``benchmarks/bench_kernels.py`` times the two paths against each other.
-Both paths use the same pivot rule (largest residual norm, ties broken by
-the lowest index) and the same norm-downdating scheme, so they select
-identical pivots except in pathological near-tie cases at machine
-precision.
+Both CPQR paths use the same pivot rule (largest residual norm, ties broken
+by the lowest index) and the same norm-downdating scheme, so they select
+identical pivots except in pathological near-tie cases at machine precision.
+
+The sigma_min scan is numpy only. Each greedy step runs in three phases:
+
+* bracket: one ``eigh`` of the current Gram matrix M turns every candidate's
+  lambda_min(M + x x^T) into the root of a rank-one secular equation, solved
+  for all candidates at once in the variable shifted by lambda_min(M);
+* prune: candidates whose upper bracket falls below the best lower bracket
+  by more than a stated tolerance are dropped;
+* confirm: when more than one candidate survives, the survivors are
+  evaluated with the stacked ``eigvalsh`` of an exhaustive scan and the
+  first maximum wins.
+
+A step costs one n x r x r product, O(n r) per root-finding iteration and a
+few r x r eigenproblems, instead of n of them. Because the bracket error is
+far below the tolerance, the exhaustive scan's pick always survives and the
+confirmation reproduces it bit for bit, ties to the lowest index included.
+``benchmarks/bench_kernels.py`` times both kernels.
 """
 
 from __future__ import annotations
@@ -233,66 +250,124 @@ def cpqr_select(V: np.ndarray, k: int, want_q: bool = False):
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True, nogil=True)
-def _sigma_min_tail_numba(psi, selected, M, count):
-    """Append `count` row indices, each maximizing lambda_min of the grown
-    Gram matrix M + psi[i] psi[i]^T (equivalently sigma_min of the grown
-    measurement matrix). Ties go to the lowest row index."""
-    n, r = psi.shape
-    out = np.empty(count, dtype=np.int64)
-    T = np.empty((r, r))
-    for t in range(count):
-        best = -1
-        bestval = -np.inf
-        for i in range(n):
-            if selected[i]:
-                continue
-            for a in range(r):
-                for b in range(r):
-                    T[a, b] = M[a, b] + psi[i, a] * psi[i, b]
-            w = np.linalg.eigvalsh(T)
-            if w[0] > bestval:
-                best = i
-                bestval = w[0]
-        out[t] = best
-        selected[best] = True
-        for a in range(r):
-            for b in range(r):
-                M[a, b] += psi[best, a] * psi[best, b]
-    return out
+# A candidate whose lambda_min bracket tops out more than this fraction of the
+# step's scale (max |lambda(M)| + max ||x||^2) below the best lower bracket
+# cannot be the exhaustive scan's pick: eigh/eigvalsh and the secular
+# evaluation err by O(r eps) of that scale, orders of magnitude below it.
+_PRUNE_RTOL = 1e-10
+# Bisection alone closes a bracket to that tolerance in about 34 iterations;
+# rows still open at the cap simply go on to the confirmation.
+_MAX_ROOT_ITERS = 64
 
 
-def _sigma_min_tail_numpy(psi, selected, M, count):
-    """Vectorized twin of :func:`_sigma_min_tail_numba` (stacked eigvalsh)."""
-    n, r = psi.shape
-    out = np.empty(count, dtype=np.int64)
-    for t in range(count):
-        cand = np.nonzero(~selected)[0]
-        rows = psi[cand]
-        stack = M[None, :, :] + rows[:, :, None] * rows[:, None, :]
-        lam = np.linalg.eigvalsh(stack)[:, 0]
-        best = int(cand[int(np.argmax(lam))])
-        out[t] = best
-        selected[best] = True
-        M += np.outer(psi[best], psi[best])
-    return out
+def _secular_brackets(z1sq, zsq, d, tol):
+    """Brackets [lo, hi] on the root t of each row's secular equation.
+
+    With M = U diag(lam) U^T, z = U^T x and d_j = lam_j - lam_1 >= 0,
+    lambda_min(M + x x^T) = lam_1 + t, where t in [0, d_2] is the root of
+    g(t) = t (1 + phi(t)) - z_1^2 and phi(t) = sum_{j>=2} z_j^2 / (d_j - t).
+    g is increasing there and h(t) = z_1^2 / (1 + phi(t)) is decreasing with
+    h(t) = t at the root, so every evaluation brackets the root from both
+    sides: [h(t), t] when g(t) >= 0, [t, h(t)] otherwise. The next iterate is
+    the root of a rational model that keeps the pole at 0 exact and fits phi
+    by P / (d_2 - t) + Q through its value and slope (Bunch, Nielsen &
+    Sorensen 1978), with a bisection fallback when it leaves the bracket.
+    Rows are dropped from the iteration once their bracket is narrower than
+    tol or tops out below the best lower bracket minus tol, and the loop ends
+    when a single row can still win.
+    """
+    c = z1sq.size
+    d2 = d[0]
+    lo, hi, t = np.zeros(c), np.full(c, d2), np.zeros(c)
+    best = 0.0
+    act = np.arange(c)
+    for _ in range(_MAX_ROOT_ITERS):
+        ta, z1a = t[act], z1sq[act]
+        inv = 1.0 / (d - ta[:, None])
+        wz = zsq[act] * inv
+        phi = wz.sum(axis=1)
+        dphi = (wz * inv).sum(axis=1)
+        h = z1a / (1.0 + phi)
+        right = ta * (1.0 + phi) >= z1a
+        a_lo = np.maximum(lo[act], np.where(right, h, ta))
+        a_hi = np.minimum(hi[act], np.where(right, ta, h))
+        lo[act], hi[act] = a_lo, a_hi
+        best = max(best, float(a_lo.max()))
+        w = d2 - ta
+        qa = 1.0 + phi - w * dphi
+        qb = qa * d2 + z1a + w * w * dphi
+        qc = z1a * d2
+        tn = 2.0 * qc / (qb + np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)))
+        t[act] = np.where((tn > a_lo) & (tn < a_hi), tn, 0.5 * (a_lo + a_hi))
+        act = act[(a_hi >= best - tol) & (a_hi - a_lo > tol)]
+        if act.size == 0 or np.count_nonzero(hi >= best - tol) == 1:
+            break
+    return lo, hi
+
+
+def _sigma_min_survivors(M, rows):
+    """Ascending indices of the rows x that may maximize lambda_min(M + x x^T).
+
+    Always contains the exhaustive scan's pick: a row is dropped only when
+    its upper bracket lies more than the stated tolerance below another
+    row's lower bracket.
+    """
+    lam, U = np.linalg.eigh(M)
+    zsq = np.square(rows @ U)
+    z1sq, zsq = zsq[:, 0], zsq[:, 1:]
+    d = lam[1:] - lam[0]
+    tol = _PRUNE_RTOL * (np.abs(lam).max() + (z1sq + zsq.sum(axis=1)).max())
+    if d.size == 0:
+        # r = 1: the update is the scalar lam_1 + x^2.
+        lo = hi = z1sq
+    elif d[0] <= 0.0:
+        # A repeated lam_1 survives every rank-one update; only the exact
+        # arithmetic can order the rows.
+        return np.arange(rows.shape[0])
+    else:
+        lo, hi = _secular_brackets(z1sq, zsq, d, tol)
+    return np.nonzero(hi >= lo.max() - tol)[0]
 
 
 def sigma_min_tail(psi: np.ndarray, prefix: np.ndarray, count: int) -> np.ndarray:
-    """Indices of `count` greedy sigma_min-maximizing rows appended to prefix."""
+    """Indices of `count` greedy sigma_min-maximizing rows appended to prefix.
+
+    Each step appends the remaining row x that maximizes lambda_min(M + x x^T),
+    M being the Gram matrix of the rows chosen so far (equivalently sigma_min
+    of the grown measurement matrix); ties go to the lowest row index. A step
+    brackets every candidate's lambda_min through the secular equation of the
+    rank-one update and prunes the candidates that cannot win. A lone
+    survivor is the pick; several are confirmed with a stacked ``eigvalsh``
+    of M + x x^T, the arithmetic of an exhaustive scan. The picks are
+    therefore the exhaustive scan's picks, and the greedy is
+    prefix-consistent: the first j of `count` picks are the picks for
+    count = j.
+    """
     psi = np.ascontiguousarray(psi, dtype=np.float64)
     n = psi.shape[0]
     selected = np.zeros(n, dtype=np.bool_)
     selected[prefix] = True
     base = psi[prefix]
     M = np.ascontiguousarray(base.T @ base)
-    if using_numba():
-        return _sigma_min_tail_numba(psi, selected, M, count)
-    return _sigma_min_tail_numpy(psi, selected, M, count)
+    out = np.empty(count, dtype=np.int64)
+    for step in range(count):
+        cand = np.nonzero(~selected)[0]
+        rows = psi[cand]
+        keep = _sigma_min_survivors(M, rows)
+        pick = keep[0]
+        if keep.size > 1:
+            rows = rows[keep]
+            stack = M[None, :, :] + rows[:, :, None] * rows[:, None, :]
+            pick = keep[int(np.argmax(np.linalg.eigvalsh(stack)[:, 0]))]
+        best = int(cand[pick])
+        out[step] = best
+        selected[best] = True
+        M += np.outer(psi[best], psi[best])
+    return out
 
 
 def warmup() -> None:
-    """Force JIT compilation of the njit kernels (no-op on the numpy path).
+    """Force JIT compilation of the njit CPQR kernel (no-op on the numpy path).
 
     Call before timing anything that goes through the kernels, so compile
     time is not attributed to the first measured run.
@@ -302,8 +377,3 @@ def warmup() -> None:
     w = np.eye(3)
     _cpqr_numba(w.copy(), 2, np.eye(3), True)
     _cpqr_numba(w.copy(), 2, np.eye(1), False)
-    psi = np.arange(1.0, 5.0).reshape(4, 1)
-    sel = np.zeros(4, dtype=np.bool_)
-    sel[0] = True
-    M = np.ascontiguousarray(psi[:1].T @ psi[:1])
-    _sigma_min_tail_numba(psi, sel, M, 2)

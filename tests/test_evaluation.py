@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sparsesense import kernels
 from sparsesense.basis import Basis, svd_basis
 from sparsesense.dataset import SpectrumSpec, split, synthesize
 from sparsesense.evaluation import (
@@ -450,3 +451,41 @@ def test_randomized_basis_trials_run():
     # Undersampled (p < r), square (p = r) and oversampled (p > r) cells.
     cells = sweep_modes_sensors(config, [12], [6, 12, 24])
     assert all(np.isfinite(c.mean_error) for c in cells)
+
+
+def test_sigma_min_mf_sweep_reuses_tails_and_matches_fresh_trials(monkeypatch):
+    ds = _rank_limited_dataset(n=40, m=30, rank=8, seed=14)
+    config = ExperimentConfig(
+        dataset=ds,
+        policy=PlacementPolicy(small_p_threshold=2, oversample="odeim-e"),
+        level_cheap=0.02,
+        level_exp=0.01,
+        budget=budget_from_endpoints(12, 4, 1.0),
+        composition_steps=7,
+        n_splits=2,
+        n_placement_cv=2,
+        n_noise=2,
+        master_seed=29,
+    )
+    calls = []
+    tail = kernels.sigma_min_tail
+
+    def counting_tail(psi, prefix, count):
+        calls.append(count)
+        return tail(psi, prefix, count)
+
+    monkeypatch.setattr(kernels, "sigma_min_tail", counting_tail)
+    results = mf_sweep(config)
+    modes = {config.policy.modes_for(res.composition.p) for res in results}
+    # Compositions sharing a mode count share one greedy tail per split,
+    # computed at the largest sensor count.
+    assert len(modes) < len(results)
+    assert len(calls) == config.n_splits * len(modes)
+    for res in results:
+        direct = [
+            run_trial(config, s, c, z, res.composition)
+            for s in range(2)
+            for c in range(2)
+            for z in range(2)
+        ]
+        assert res.mean_error == pytest.approx(float(np.mean(direct)), rel=1e-12)

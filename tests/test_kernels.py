@@ -1,10 +1,16 @@
-"""Twin-path agreement: the njit kernels and the numpy fallbacks must select
-identical pivots and rows on the same inputs."""
+"""Kernel contracts: the njit and numpy CPQR twins select identical pivots,
+and the secular-equation sigma_min scan picks exactly the rows of an
+exhaustive stacked-eigvalsh scan."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sparsesense import kernels
+
+BENCH_KERNELS = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
 
 
 needs_numba = pytest.mark.skipif(
@@ -51,19 +57,77 @@ def test_cpqr_paths_agree_with_q():
     np.testing.assert_allclose(Q_nb, Q_np, rtol=1e-10, atol=1e-12)
 
 
-@needs_numba
-@pytest.mark.parametrize("seed", range(5))
-def test_sigma_min_tail_paths_agree(seed):
-    rng = np.random.default_rng(100 + seed)
-    n, r = 30, 4
-    psi = rng.standard_normal((n, r))
-    prefix = np.arange(r, dtype=np.int64)
-    selected = np.zeros(n, dtype=np.bool_)
+def _exhaustive_tail(psi, prefix, count):
+    """Reference greedy: eigvalsh of M + x x^T for every remaining row."""
+    psi = np.ascontiguousarray(psi, dtype=np.float64)
+    selected = np.zeros(psi.shape[0], dtype=np.bool_)
     selected[prefix] = True
-    M = np.ascontiguousarray(psi[prefix].T @ psi[prefix])
-    out_nb = kernels._sigma_min_tail_numba(psi, selected.copy(), M.copy(), 6)
-    out_np = kernels._sigma_min_tail_numpy(psi, selected.copy(), M.copy(), 6)
-    np.testing.assert_array_equal(out_nb, out_np)
+    base = psi[prefix]
+    M = np.ascontiguousarray(base.T @ base)
+    out = np.empty(count, dtype=np.int64)
+    for t in range(count):
+        cand = np.nonzero(~selected)[0]
+        rows = psi[cand]
+        stack = M[None, :, :] + rows[:, :, None] * rows[:, None, :]
+        lam = np.linalg.eigvalsh(stack)[:, 0]
+        best = int(cand[int(np.argmax(lam))])
+        out[t] = best
+        selected[best] = True
+        M += np.outer(psi[best], psi[best])
+    return out
+
+
+def _hard_case(kind, seed):
+    """(psi, prefix, count) of one seeded nasty input."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(12, 90))
+    r = 1 if kind == "r-one" else int(rng.integers(2, 12))
+    psi = rng.standard_normal((n, r))
+    if kind == "rank-deficient":
+        psi[:, -1] = psi[:, 0]
+    elif kind == "duplicate-rows":
+        k = n // 3
+        psi[k : 2 * k] = psi[:k]
+    elif kind == "graded":
+        psi *= np.logspace(0, -12, r)
+    elif kind == "zero":
+        psi[:] = 0.0
+    prefix = rng.permutation(n)[: int(rng.integers(0, r + 2))]
+    if kind == "full-count":
+        count = n - prefix.size
+    else:
+        count = int(rng.integers(1, min(3 * r + 2, n - prefix.size) + 1))
+    return psi, prefix, count
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["random", "rank-deficient", "duplicate-rows", "graded", "r-one", "zero", "full-count"],
+)
+@pytest.mark.parametrize("seed", range(6))
+def test_sigma_min_tail_matches_exhaustive_scan(kind, seed):
+    psi, prefix, count = _hard_case(kind, seed)
+    got = kernels.sigma_min_tail(psi, prefix, count)
+    np.testing.assert_array_equal(got, _exhaustive_tail(psi, prefix, count))
+
+
+def test_sigma_min_tail_matches_exhaustive_scan_on_orthonormal_modes():
+    # The sweep's shape: leading left singular vectors, CPQR prefix, p = 2r.
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((400, 60)) * np.logspace(0, -3, 60)
+    psi = np.linalg.svd(X, full_matrices=False)[0][:, :12]
+    prefix = kernels.cpqr_select(psi.T, 12)[0][:12]
+    got = kernels.sigma_min_tail(psi, prefix, 24)
+    np.testing.assert_array_equal(got, _exhaustive_tail(psi, prefix, 24))
+
+
+def test_sigma_min_tail_is_prefix_consistent():
+    rng = np.random.default_rng(23)
+    psi = rng.standard_normal((70, 6))
+    prefix = np.arange(6)
+    full = kernels.sigma_min_tail(psi, prefix, 30)
+    for j in (1, 7, 29):
+        np.testing.assert_array_equal(kernels.sigma_min_tail(psi, prefix, j), full[:j])
 
 
 def test_sigma_min_tail_low_index_tie_break():
@@ -81,3 +145,13 @@ def test_backend_reporting():
 def test_warmup_is_idempotent():
     kernels.warmup()
     kernels.warmup()
+
+
+def test_bench_kernels_script_runs(capsys):
+    spec = importlib.util.spec_from_file_location("bench_kernels", BENCH_KERNELS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main(["--repeats", "1"])
+    out = capsys.readouterr().out
+    assert "column-pivoted QR" in out
+    assert "sigma_min" in out

@@ -105,6 +105,17 @@ def test_oversample_random_deterministic():
     assert not np.array_equal(a.locations, c.locations)
 
 
+def test_oversample_random_draws_from_ascending_remaining_rows():
+    # The seeded protocol fixes the draw: a uniform choice without
+    # replacement from the rows outside the QR prefix, in ascending order.
+    rng = np.random.default_rng(10)
+    basis = _basis_from(rng.standard_normal((40, 4)))
+    plan = oversample_random(basis, 15, seed=8)
+    remaining = np.setdiff1d(np.arange(40), plan.locations[:4])
+    want = np.random.default_rng(8).choice(remaining, size=11, replace=False)
+    np.testing.assert_array_equal(plan.locations[4:], want)
+
+
 # ---------------------------------------------------------------------------
 # oversample_sigma_min
 # ---------------------------------------------------------------------------
