@@ -251,24 +251,32 @@ def _load_binary(path: str) -> Dataset:
 
 
 def _load_csv(path: str) -> Dataset:
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read()
-    lines = [ln for ln in raw.splitlines() if ln.strip()]
+    with open(path, "rb") as fh:
+        physical = fh.read().splitlines()
+    # (line number, text) of every nonblank line, numbered as in the file.
+    lines = []
+    for lineno, blob in enumerate(physical, start=1):
+        try:
+            text = blob.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise MatrixParseError(
+                f"{path}: line {lineno}: non-ASCII byte 0x{blob[exc.start]:02x} "
+                f"at column {exc.start + 1}"
+            ) from None
+        if text.strip():
+            lines.append((lineno, text))
     if not lines:
         raise MatrixFormatError(f"{path}: empty file")
-    start = 0
     declared = None
-    first = [f.strip() for f in lines[0].split(",")]
+    first = [f.strip() for f in lines[0][1].split(",")]
     if len(first) == 2 and all(_is_bare_int(f) for f in first):
         declared = (int(first[0]), int(first[1]))
-        start = 1
-    data_lines = lines[start:]
-    if not data_lines:
+        lines = lines[1:]
+    if not lines:
         raise MatrixFormatError(f"{path}: header only, no data rows")
     rows = []
     width = None
-    for offset, ln in enumerate(data_lines):
-        lineno = start + offset + 1
+    for lineno, ln in lines:
         fields = ln.split(",")
         if width is None:
             width = len(fields)

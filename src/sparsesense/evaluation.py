@@ -4,7 +4,10 @@ Single seeded trials, mode/sensor sweeps, multi-fidelity composition sweeps,
 and regime classification. Every trial seed is derived from (master seed,
 split index, placement-CV index, noise index) with an avalanche-quality
 mixer, so results are pure functions of the configuration and independent of
-execution schedule; the optional cache only memoizes per-split work.
+execution schedule. The optional cache memoizes per-split work (splits,
+bases, pivots, greedy tails) and, while a sweep runs the trials that share one
+sensor plan, the factorization of that plan's measurement matrix; both are
+pure accelerators, so results are bit-for-bit those of a fresh cache.
 """
 
 from __future__ import annotations
@@ -50,10 +53,14 @@ REGIME_INCONCLUSIVE = "inconclusive"
 REGIME_MIXED_BEST = "mixed-best"
 
 
-def reconstruct(basis: Basis, plan: SensorPlan, Y) -> np.ndarray:
-    """Full-state estimate from sparse measurements: Psi @ pinv(Theta) @ Y."""
+def reconstruct(basis: Basis, plan: SensorPlan, Y, memo: dict | None = None) -> np.ndarray:
+    """Full-state estimate from sparse measurements: Psi @ pinv(Theta) @ Y.
+
+    ``memo`` is passed on to :func:`lstsq_minnorm`; it must belong to this
+    basis and plan.
+    """
     theta = measure(basis.psi, plan)
-    return basis.psi @ lstsq_minnorm(theta, Y)
+    return basis.psi @ lstsq_minnorm(theta, Y, memo=memo)
 
 
 def fractional_error(X, Xhat) -> float:
@@ -179,9 +186,17 @@ def pooled_standard_error(a, b) -> float:
 
 
 class _SweepCache:
-    """Per-split memo. Purely an accelerator: results with and without it
-    are identical because every entry is a deterministic function of the
-    configuration."""
+    """Sweep memo. Purely an accelerator: results with and without it are
+    identical because every entry is a deterministic function of the
+    configuration.
+
+    Per-split entries (splits, bases, pivots, greedy tails) live as long as
+    the cache. ``solves`` maps a plan's :func:`_solve_key` to the
+    :func:`lstsq_minnorm` memo of its measurement matrix; only
+    :func:`_cell_errors` opens one, for the group of trials sharing that
+    plan, and drops it when the group is done, so at most one factorization
+    per worker thread is alive and none outlives a sweep.
+    """
 
     def __init__(self):
         self.splits: dict = {}
@@ -189,6 +204,7 @@ class _SweepCache:
         self.bases: dict = {}
         self.pivot_orders: dict = {}
         self.greedy_tails: dict = {}
+        self.solves: dict = {}
 
 
 def _get_split(config, cache, split_idx):
@@ -260,6 +276,17 @@ def _get_plan(config, cache, split_idx, cv_idx, r, p) -> SensorPlan:
     return SensorPlan(np.concatenate([pivots, tail]), method, r)
 
 
+def _solve_key(config, split_idx, cv_idx, r, p) -> tuple:
+    """Identity of the plan, and so of Theta, that a trial solves with.
+
+    Only a random oversampling tail depends on the cv draw; QR-only plans
+    (p <= r) and odeim-e tails are the same for every cv index.
+    """
+    if config.policy.oversample == "random" and p > min(r, config.dataset.n):
+        return (split_idx, cv_idx, r, p)
+    return (split_idx, r, p)
+
+
 def _resolve_cell(config, cell):
     """Normalize an (r, p) pair or a Composition into (r, p, composition)."""
     n = config.dataset.n
@@ -316,7 +343,8 @@ def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
         sigmas,
         derive_seed(config.master_seed, _TAG_NOISE, split_idx, cv_idx, noise_idx),
     )
-    return fractional_error(sd.test, reconstruct(basis, plan, Y))
+    memo = cache.solves.get(_solve_key(config, split_idx, cv_idx, r, p))
+    return fractional_error(sd.test, reconstruct(basis, plan, Y, memo=memo))
 
 
 def _trial_indices(config):
@@ -341,18 +369,32 @@ def _prefill(config, cache, cells):
 
 
 def _cell_errors(config, cache, cell, threads) -> np.ndarray:
-    indices = list(_trial_indices(config))
-    errors = np.empty(len(indices))
-    if threads > 1:
-        def work(item):
-            t, (s, c, z) = item
-            errors[t] = run_trial(config, s, c, z, cell, cache)
+    """Errors of every trial of one cell, in (split, cv, noise) order.
 
+    Trials that share a plan form one task: it opens the plan's solve memo,
+    runs its trials in order and drops the memo, so each Theta is factored
+    once per cell whatever the thread count.
+    """
+    r, p, _ = _resolve_cell(config, cell)
+    groups: dict = {}
+    for t, (s, c, z) in enumerate(_trial_indices(config)):
+        groups.setdefault(_solve_key(config, s, c, r, p), []).append((t, s, c, z))
+    errors = np.empty(config.trials)
+
+    def work(key, trials):
+        cache.solves[key] = {}
+        try:
+            for t, s, c, z in trials:
+                errors[t] = run_trial(config, s, c, z, cell, cache)
+        finally:
+            del cache.solves[key]
+
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, enumerate(indices)))
+            list(pool.map(work, groups.keys(), groups.values()))
     else:
-        for t, (s, c, z) in enumerate(indices):
-            errors[t] = run_trial(config, s, c, z, cell, cache)
+        for key, trials in groups.items():
+            work(key, trials)
     return errors
 
 

@@ -123,12 +123,18 @@ def rank_cutoff(singular_values: np.ndarray, shape) -> float:
     return max(shape) * smax * _EPS
 
 
-def lstsq_minnorm(Theta, Y) -> np.ndarray:
+def lstsq_minnorm(Theta, Y, memo: dict | None = None) -> np.ndarray:
     """Minimum-norm least-squares solution pinv(Theta) @ Y.
 
     Computed through the SVD with singular values at or below
     :func:`rank_cutoff` treated as zero; an all-zero Theta therefore yields
     an all-zero solution rather than an error.
+
+    ``memo`` is an optional caller-owned dict for one Theta. The first call
+    stores the truncated factors in it and later calls reuse them instead of
+    factoring again, applying the same arithmetic to the same factors, so
+    the solution is bit-for-bit the one a call without a memo returns. The
+    caller must pass a given memo only with the Theta that filled it.
     """
     Theta = as_matrix(Theta, "Theta")
     Y = as_matrix(Y, "Y", require_finite=False)
@@ -136,13 +142,18 @@ def lstsq_minnorm(Theta, Y) -> np.ndarray:
         raise ValueError(
             f"row mismatch: Theta has {Theta.shape[0]} rows, Y has {Y.shape[0]}"
         )
-    U, s, Vh = np.linalg.svd(Theta, full_matrices=False)
-    tau = rank_cutoff(s, Theta.shape)
-    keep = s > tau
-    if not np.any(keep):
+    factors = None if memo is None else memo.get("pinv")
+    if factors is None:
+        U, s, Vh = np.linalg.svd(Theta, full_matrices=False)
+        keep = s > rank_cutoff(s, Theta.shape)
+        factors = (U[:, keep], s[keep, None], Vh[keep])
+        if memo is not None:
+            memo["pinv"] = factors
+    U_keep, s_keep, Vh_keep = factors
+    if s_keep.size == 0:
         return np.zeros((Theta.shape[1], Y.shape[1]))
-    coef = (U[:, keep].T @ Y) / s[keep, None]
-    return Vh[keep].T @ coef
+    coef = (U_keep.T @ Y) / s_keep
+    return Vh_keep.T @ coef
 
 
 def condition_number(Theta) -> float:

@@ -196,6 +196,18 @@ def test_sweep_empty_data_file_is_data_error(tmp_path):
     assert code == 65
 
 
+def test_sweep_non_ascii_csv_is_data_error_naming_file_and_line(tmp_path, capsys):
+    data = tmp_path / "accent.csv"
+    data.write_bytes("1,2,3\n4,5,6\n7,8,\u00e99\n".encode("utf-8"))
+    code = _run(
+        "sweep", "--data", str(data), "--r-grid", "1", "--p-grid", "2",
+        "--out-dir", str(tmp_path / "out"),
+    )
+    assert code == 65
+    err = capsys.readouterr().err
+    assert "accent.csv" in err and "line 3" in err and "codec" not in err
+
+
 # ---------------------------------------------------------------------------
 # mf
 # ---------------------------------------------------------------------------

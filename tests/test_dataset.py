@@ -266,6 +266,32 @@ def test_csv_non_numeric_field(tmp_path):
         load_matrix(str(path))
 
 
+def test_csv_line_numbers_count_blank_lines(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("2,2\n\n1,2\n\n3,x\n")
+    with pytest.raises(MatrixParseError, match="line 5"):
+        load_matrix(str(path))
+    path.write_text("\n1.5,2\n\n\n3,4,5\n")
+    with pytest.raises(MatrixParseError, match="line 5: expected 2 values"):
+        load_matrix(str(path))
+
+
+def test_csv_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_bytes(b"\r\n2,2\r\n\r\n1,2\n  \n3,4\n\n")
+    np.testing.assert_array_equal(load_matrix(str(path)).X, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_csv_non_ascii_names_file_and_line(tmp_path):
+    path = tmp_path / "accent.csv"
+    path.write_bytes("1,2\n\n3,4\n5,6\u00e9\n".encode("utf-8"))
+    with pytest.raises(MatrixParseError) as info:
+        load_matrix(str(path))
+    message = str(info.value)
+    assert message.startswith(f"{path}: line 4: ")
+    assert "0xc3" in message
+
+
 def test_empty_file_is_format_error(tmp_path):
     path = tmp_path / "empty.bin"
     path.write_bytes(b"")

@@ -1,9 +1,12 @@
 """Reconstruction, error metrics, trial seeding, sweeps, classification."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from sparsesense import kernels
+from sparsesense import evaluation, kernels
 from sparsesense.basis import Basis, svd_basis
 from sparsesense.dataset import SpectrumSpec, split, synthesize
 from sparsesense.evaluation import (
@@ -489,3 +492,143 @@ def test_sigma_min_mf_sweep_reuses_tails_and_matches_fresh_trials(monkeypatch):
             for z in range(2)
         ]
         assert res.mean_error == pytest.approx(float(np.mean(direct)), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# factor-once solves: one factorization per plan, bit-identical results
+# ---------------------------------------------------------------------------
+
+
+def _noisy_config(**kw):
+    defaults = dict(
+        dataset=_rank_limited_dataset(n=40, m=30, rank=8, seed=21),
+        level_cheap=0.02,
+        level_exp=0.01,
+        n_splits=2,
+        n_placement_cv=3,
+        n_noise=3,
+        master_seed=43,
+    )
+    defaults.update(kw)
+    return ExperimentConfig(**defaults)
+
+
+def _mf_config(**kw):
+    return _noisy_config(
+        policy=PlacementPolicy(small_p_threshold=4),
+        budget=budget_from_endpoints(12, 4, 1.0),
+        composition_steps=7,
+        **kw,
+    )
+
+
+def _fresh_summary(config, cell):
+    """Mean and std of per-trial errors, each trial on a fresh cache."""
+    errors = np.array([
+        run_trial(config, s, c, z, cell)
+        for s in range(config.n_splits)
+        for c in range(config.n_placement_cv)
+        for z in range(config.n_noise)
+    ])
+    return float(np.mean(errors)), float(np.std(errors, ddof=1))
+
+
+@pytest.mark.parametrize(
+    "oversample,cell",
+    [("random", (4, 10)), ("random", (6, 5)), ("odeim-e", (4, 9))],
+    ids=["random-oversampled", "qr-only", "odeim-e"],
+)
+def test_sweep_cell_equals_fresh_trials_exactly(oversample, cell):
+    config = _noisy_config(policy=PlacementPolicy(oversample=oversample))
+    [res] = sweep_modes_sensors(config, [cell[0]], [cell[1]])
+    assert (res.mean_error, res.std_error) == _fresh_summary(config, cell)
+
+
+def test_mf_sweep_equals_fresh_trials_exactly():
+    config = _mf_config()
+    for res in mf_sweep(config):
+        assert (res.mean_error, res.std_error) == _fresh_summary(config, res.composition)
+
+
+def test_mf_sweep_threads_match_sequential_exactly():
+    config = _mf_config()
+    sequential = mf_sweep(config, threads=1)
+    assert mf_sweep(config, threads=2) == sequential
+    # More workers than cores, switching often: tasks open and drop their
+    # solve memos in the shared cache concurrently.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert mf_sweep(config, threads=8) == sequential
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_sweep_cache_drops_every_factorization(monkeypatch):
+    caches, open_counts = [], []
+
+    class RecordingCache(evaluation._SweepCache):
+        def __init__(self):
+            super().__init__()
+            caches.append(self)
+
+    trial = evaluation.run_trial
+
+    def recording_trial(config, s, c, z, cell, cache=None):
+        open_counts.append(len(cache.solves))
+        return trial(config, s, c, z, cell, cache)
+
+    monkeypatch.setattr(evaluation, "_SweepCache", RecordingCache)
+    monkeypatch.setattr(evaluation, "run_trial", recording_trial)
+    sweep_modes_sensors(_noisy_config(), [4, 6], [5, 10], threads=2)
+    mf_sweep(_mf_config(), threads=2)
+    assert len(caches) == 2
+    assert all(cache.solves == {} for cache in caches)
+    # Every trial runs inside its plan's group, and at most one group per
+    # worker thread holds a factorization.
+    assert 1 <= min(open_counts) and max(open_counts) <= 2
+
+
+def _count_work(monkeypatch, sweep):
+    """Run sweep() counting SVDs, distinct Thetas and per-trial layer calls."""
+    calls = []  # list.append is atomic, so pool threads record without a lock
+    thetas = set()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            if name == "reconstruct":
+                basis, plan = args[0], args[1]
+                thetas.add((id(basis), plan.locations.tobytes()))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    for name in ("run_trial", "reconstruct", "lstsq_minnorm"):
+        monkeypatch.setattr(evaluation, name, counting(name, getattr(evaluation, name)))
+    results = sweep()
+    return results, Counter(calls), len(thetas)
+
+
+def test_sweep_factors_each_theta_once(monkeypatch):
+    config = _noisy_config(basis_kind="randomized")
+    results, counts, thetas = _count_work(
+        monkeypatch, lambda: sweep_modes_sensors(config, [4, 6], [5, 10], threads=2)
+    )
+    # (4, 5), (4, 10) and (6, 10) oversample per cv draw; (6, 5) is QR-only.
+    assert thetas == 3 * config.n_splits * config.n_placement_cv + config.n_splits
+    # The randomized basis needs no SVD, so every SVD factors one Theta.
+    assert counts["svd"] == thetas
+    for name in ("run_trial", "reconstruct", "lstsq_minnorm"):
+        assert counts[name] == len(results) * config.trials
+
+
+def test_mf_sweep_factors_each_theta_once(monkeypatch):
+    config = _mf_config()
+    results, counts, thetas = _count_work(monkeypatch, lambda: mf_sweep(config, threads=2))
+    # One basis SVD per split, then one SVD per distinct Theta.
+    assert counts["svd"] == config.n_splits + thetas
+    assert thetas < counts["lstsq_minnorm"]
+    for name in ("run_trial", "reconstruct", "lstsq_minnorm"):
+        assert counts[name] == len(results) * config.trials

@@ -206,6 +206,45 @@ def test_lstsq_dimension_mismatch():
         lstsq_minnorm(np.eye(3), np.ones((4, 2)))
 
 
+def _rank_deficient_theta():
+    rng = np.random.default_rng(5)
+    return rng.standard_normal((12, 3)) @ rng.standard_normal((3, 5))
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        np.random.default_rng(3).standard_normal((9, 4)),
+        _rank_deficient_theta(),
+        np.zeros((6, 3)),
+        np.random.default_rng(4).standard_normal((3, 7)),
+    ],
+    ids=["tall", "rank-deficient", "zero", "wide"],
+)
+def test_lstsq_memo_is_bit_identical_and_factors_once(theta, monkeypatch):
+    rng = np.random.default_rng(11)
+    rhs = [rng.standard_normal((theta.shape[0], k)) for k in (1, 4, 4, 9)]
+    fresh = [lstsq_minnorm(theta, Y) for Y in rhs]
+    calls = []
+    svd_impl = np.linalg.svd
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd_impl(*a, **kw)
+    )
+    memo = {}
+    for Y, want in zip(rhs, fresh):
+        assert np.array_equal(lstsq_minnorm(theta, Y, memo=memo), want)
+    assert len(calls) == 1
+    if not theta.any():
+        assert not any(out.any() for out in fresh)
+
+
+def test_lstsq_rank_deficient_drops_small_singular_values():
+    theta = _rank_deficient_theta()
+    Y = np.random.default_rng(12).standard_normal((12, 2))
+    out = lstsq_minnorm(theta, Y, memo={})
+    np.testing.assert_allclose(out, np.linalg.pinv(theta) @ Y, rtol=1e-10, atol=1e-12)
+
+
 def test_condition_number_cases():
     assert condition_number(np.eye(5)) == 1.0
     assert condition_number(np.diag([4.0, 2.0])) == pytest.approx(2.0)
