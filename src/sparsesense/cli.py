@@ -20,7 +20,7 @@ import tempfile
 from datetime import datetime, timezone
 from hashlib import sha256
 
-from . import __version__
+from . import __version__, kernels
 from .basis import randomized_basis, svd_basis
 from .dataset import (
     Dataset,
@@ -125,6 +125,13 @@ def _seed_of(args, cfg) -> int:
     return _get(args, cfg, "seed", default=0, conv=int, env="SPARSESENSE_SEED")
 
 
+def _threads_of(args, cfg) -> int:
+    threads = _get(args, cfg, "threads", default=1, conv=int)
+    if threads < 1:
+        raise _UsageError(f"--threads must be >= 1, got {threads}")
+    return threads
+
+
 # ---------------------------------------------------------------------------
 # Output helpers
 # ---------------------------------------------------------------------------
@@ -175,7 +182,9 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _write_manifest(path, command, seed, arg_items, outputs, started, finished):
+def _write_manifest(
+    path, command, seed, arg_items, outputs, started, finished, run_items=()
+):
     lines = [
         f"tool=sparsesense {__version__}",
         f"command={command}",
@@ -183,6 +192,7 @@ def _write_manifest(path, command, seed, arg_items, outputs, started, finished):
         f"started={started}",
         f"finished={finished}",
     ]
+    lines += [f"{key}={value}" for key, value in run_items]
     lines += [f"arg.{key}={value}" for key, value in sorted(arg_items)]
     lines += [
         f"file.{os.path.basename(p)}=sha256:{_digest_file(p)}" for p in sorted(outputs)
@@ -401,7 +411,7 @@ def _cmd_sweep(args, cfg) -> int:
     n_splits, n_cv, n_noise = _experiment_counts(args, cfg)
     want_svg = _get(args, cfg, "svg", conv=_parse_bool, default=False)
     out_dir = _get(args, cfg, "out_dir", default=".")
-    threads = _get(args, cfg, "threads", conv=int, default=1)
+    threads = _threads_of(args, cfg)
     seed = _seed_of(args, cfg)
 
     started = _utcnow()
@@ -418,7 +428,7 @@ def _cmd_sweep(args, cfg) -> int:
         n_noise=n_noise,
         master_seed=seed,
     )
-    results = sweep_modes_sensors(config, r_grid, p_grid, threads=max(1, threads))
+    results = sweep_modes_sensors(config, r_grid, p_grid, threads=threads)
 
     out_csv = os.path.join(out_dir, "sweep.csv")
     _write_atomic(out_csv, format_sweep_csv(results, basis_kind))
@@ -460,6 +470,7 @@ def _cmd_sweep(args, cfg) -> int:
         outputs,
         started,
         finished,
+        kernels.blas_record().items(),
     )
     return 0
 
@@ -480,7 +491,7 @@ def _cmd_mf(args, cfg) -> int:
     n_splits, n_cv, n_noise = _experiment_counts(args, cfg)
     want_svg = _get(args, cfg, "svg", conv=_parse_bool, default=False)
     out_dir = _get(args, cfg, "out_dir", default=".")
-    threads = _get(args, cfg, "threads", conv=int, default=1)
+    threads = _threads_of(args, cfg)
     seed = _seed_of(args, cfg)
     tags = {}
     for tag_key, cli_key in (("b", "tag_b"), ("noise", "tag_noise"), ("counts", "tag_counts")):
@@ -506,7 +517,7 @@ def _cmd_mf(args, cfg) -> int:
         n_noise=n_noise,
         master_seed=seed,
     )
-    results = mf_sweep(config, threads=max(1, threads))
+    results = mf_sweep(config, threads=threads)
     regime = classify_composition_sweep([res.mean_error for res in results], band)
 
     out_csv = os.path.join(out_dir, "mf.csv")
@@ -552,6 +563,7 @@ def _cmd_mf(args, cfg) -> int:
         outputs,
         started,
         finished,
+        kernels.blas_record().items(),
     )
     return 0
 

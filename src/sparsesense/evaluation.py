@@ -8,11 +8,17 @@ execution schedule. The optional cache memoizes per-split work (splits,
 bases, pivots, greedy tails) and, while a sweep runs the trials that share one
 sensor plan, the factorization of that plan's measurement matrix; both are
 pure accelerators, so results are bit-for-bit those of a fresh cache.
+
+Trials and sweeps run with numpy's BLAS pinned to one thread
+(:func:`kernels.single_blas_thread`), so a sweep's thread pool is its only
+parallelism and its results are the same for every ``threads`` value and
+every BLAS thread setting of the machine.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -190,12 +196,13 @@ class _SweepCache:
     identical because every entry is a deterministic function of the
     configuration.
 
-    Per-split entries (splits, bases, pivots, greedy tails) live as long as
-    the cache. ``solves`` maps a plan's :func:`_solve_key` to the
-    :func:`lstsq_minnorm` memo of its measurement matrix; only
-    :func:`_cell_errors` opens one, for the group of trials sharing that
-    plan, and drops it when the group is done, so at most one factorization
-    per worker thread is alive and none outlives a sweep.
+    Per-split entries (splits with their test-set norms, bases, pivots,
+    greedy tails) live as long as the cache. ``solves`` maps a trial's
+    :func:`_solve_key` to the :func:`lstsq_minnorm` memo of its measurement
+    matrix; only :func:`_sweep_errors` opens one, for the group of trials of
+    one cell sharing that plan, and drops it when the group is done, so at
+    most one factorization per worker thread is alive and none outlives a
+    sweep.
     """
 
     def __init__(self):
@@ -215,21 +222,26 @@ def _get_split(config, cache, split_idx):
             config.train_fraction,
             derive_seed(config.master_seed, _TAG_SPLIT, split_idx),
         )
-        hit = (sd, overall_variance(sd.train))
+        hit = (sd, overall_variance(sd.train), float(np.linalg.norm(sd.test)))
         cache.splits[split_idx] = hit
     return hit
+
+
+def _get_left_vectors(config, cache, split_idx) -> np.ndarray:
+    U = cache.left_vectors.get(split_idx)
+    if U is None:
+        sd = _get_split(config, cache, split_idx)[0]
+        U = np.linalg.svd(sd.train, full_matrices=False)[0]
+        cache.left_vectors[split_idx] = U
+    return U
 
 
 def _get_basis(config, cache, split_idx, r) -> Basis:
     key = (split_idx, config.basis_kind, r)
     basis = cache.bases.get(key)
     if basis is None:
-        sd, _ = _get_split(config, cache, split_idx)
         if config.basis_kind == "svd":
-            U = cache.left_vectors.get(split_idx)
-            if U is None:
-                U = np.linalg.svd(sd.train, full_matrices=False)[0]
-                cache.left_vectors[split_idx] = U
+            U = _get_left_vectors(config, cache, split_idx)
             if r > U.shape[1]:
                 raise ValueError(
                     f"r = {r} exceeds the available {U.shape[1]} left singular vectors"
@@ -237,7 +249,9 @@ def _get_basis(config, cache, split_idx, r) -> Basis:
             basis = Basis(_modes_from_left_vectors(U, r), "svd", r)
         else:
             basis = randomized_basis(
-                sd.train, r, derive_seed(config.master_seed, _TAG_BASIS, split_idx)
+                _get_split(config, cache, split_idx)[0].train,
+                r,
+                derive_seed(config.master_seed, _TAG_BASIS, split_idx),
             )
         cache.bases[key] = basis
     return basis
@@ -276,15 +290,20 @@ def _get_plan(config, cache, split_idx, cv_idx, r, p) -> SensorPlan:
     return SensorPlan(np.concatenate([pivots, tail]), method, r)
 
 
-def _solve_key(config, split_idx, cv_idx, r, p) -> tuple:
-    """Identity of the plan, and so of Theta, that a trial solves with.
+def _plan_varies_with_cv(config, r, p) -> bool:
+    """Only a random oversampling tail depends on the cv draw; QR-only plans
+    (p <= r) and odeim-e tails are the same for every cv index."""
+    return config.policy.oversample == "random" and p > min(r, config.dataset.n)
 
-    Only a random oversampling tail depends on the cv draw; QR-only plans
-    (p <= r) and odeim-e tails are the same for every cv index.
+
+def _solve_key(config, comp, split_idx, cv_idx, r, p) -> tuple:
+    """Identity of a cell's plan, and so of Theta, that a trial solves with.
+
+    The cell is (r, p) plus the composition, if any, so two compositions
+    with the same p never share a memo.
     """
-    if config.policy.oversample == "random" and p > min(r, config.dataset.n):
-        return (split_idx, cv_idx, r, p)
-    return (split_idx, r, p)
+    cv = cv_idx if _plan_varies_with_cv(config, r, p) else None
+    return (comp, split_idx, cv, r, p)
 
 
 def _resolve_cell(config, cell):
@@ -328,74 +347,119 @@ def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
             raise ValueError(f"{what} = {idx} outside configured count {bound}")
     cache = cache if cache is not None else _SweepCache()
     r, p, comp = _resolve_cell(config, cell)
-    sd, ref_var = _get_split(config, cache, split_idx)
-    basis = _get_basis(config, cache, split_idx, r)
-    plan = _get_plan(config, cache, split_idx, cv_idx, r, p)
-    if comp is not None:
-        noise = NoiseModel(config.level_cheap, config.level_exp, ref_var)
-        sigmas = assign_fidelities(plan, comp, noise)
-    else:
-        noise = NoiseModel(config.level_cheap, config.level_cheap, ref_var)
-        sigmas = np.full(p, noise.sigma_cheap)
-    Y = noisy_measure(
-        sd.test,
-        plan,
-        sigmas,
-        derive_seed(config.master_seed, _TAG_NOISE, split_idx, cv_idx, noise_idx),
-    )
-    memo = cache.solves.get(_solve_key(config, split_idx, cv_idx, r, p))
-    return fractional_error(sd.test, reconstruct(basis, plan, Y, memo=memo))
+    with kernels.single_blas_thread():
+        sd, ref_var, test_norm = _get_split(config, cache, split_idx)
+        basis = _get_basis(config, cache, split_idx, r)
+        plan = _get_plan(config, cache, split_idx, cv_idx, r, p)
+        if comp is not None:
+            noise = NoiseModel(config.level_cheap, config.level_exp, ref_var)
+            sigmas = assign_fidelities(plan, comp, noise)
+        else:
+            noise = NoiseModel(config.level_cheap, config.level_cheap, ref_var)
+            sigmas = np.full(p, noise.sigma_cheap)
+        Y = noisy_measure(
+            sd.test,
+            plan,
+            sigmas,
+            derive_seed(config.master_seed, _TAG_NOISE, split_idx, cv_idx, noise_idx),
+        )
+        memo = cache.solves.get(_solve_key(config, comp, split_idx, cv_idx, r, p))
+        Xhat = reconstruct(basis, plan, Y, memo=memo)
+        return _error_in_place(sd.test, Xhat, test_norm)
 
 
-def _trial_indices(config):
-    for s in range(config.n_splits):
-        for c in range(config.n_placement_cv):
-            for z in range(config.n_noise):
-                yield s, c, z
+def _error_in_place(X, Xhat, x_norm: float) -> float:
+    """:func:`fractional_error` of an estimate the caller owns, given
+    x_norm = ||X||_F: Xhat is overwritten with Xhat - X instead of building
+    X - Xhat, which has the same norm bit for bit."""
+    if x_norm == 0.0:
+        raise ValueError("reference matrix has zero norm")
+    Xhat -= X
+    return float(np.linalg.norm(Xhat) / x_norm)
 
 
-def _prefill(config, cache, cells):
-    """Compute per-split artifacts sequentially so parallel trials only read."""
-    # Greedy tails are computed once per r, at the largest p that needs it.
-    longest: dict[int, int] = {}
-    for r, p, _ in (_resolve_cell(config, cell) for cell in cells):
-        longest[r] = max(longest.get(r, 0), p)
-    for s in range(config.n_splits):
-        _get_split(config, cache, s)
-        for r, p in longest.items():
-            _get_pivot_order(config, cache, s, r)
-            if p > min(r, config.dataset.n) and config.policy.oversample == "odeim-e":
-                _get_plan(config, cache, s, 0, r, p)
+def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
+    """Errors of every trial of every cell, each in (split, cv, noise) order.
 
+    The sweep runs in three stages with BLAS on one thread throughout:
 
-def _cell_errors(config, cache, cell, threads) -> np.ndarray:
-    """Errors of every trial of one cell, in (split, cv, noise) order.
+    1. every split, and for SVD bases its left singular vectors, on the
+       calling thread;
+    2. one task per (split, r): basis, CPQR pivots and, for odeim-e, the
+       greedy tail at the largest p of that r; largest r first;
+    3. one task per cell and plan: it opens the plan's solve memo, runs the
+       cell's trials that share it in (cv, noise) order, writing each error
+       by index, and drops the memo, so each Theta is factored once per
+       cell.
 
-    Trials that share a plan form one task: it opens the plan's solve memo,
-    runs its trials in order and drops the memo, so each Theta is factored
-    once per cell whatever the thread count.
+    Stages 2 and 3 go to one pool of min(threads, cpu count) workers, with
+    every cell's tasks submitted at once; threads = 1 runs them in order on
+    the calling thread. Results do not depend on the schedule. A repeated
+    cell is run once.
     """
-    r, p, _ = _resolve_cell(config, cell)
-    groups: dict = {}
-    for t, (s, c, z) in enumerate(_trial_indices(config)):
-        groups.setdefault(_solve_key(config, s, c, r, p), []).append((t, s, c, z))
-    errors = np.empty(config.trials)
+    cache = _SweepCache()
+    splits, n_cv, n_noise = range(config.n_splits), config.n_placement_cv, config.n_noise
+    errors = {cell: np.empty(config.trials) for cell in cells}
+    longest: dict[int, int] = {}
+    groups = []
+    for cell, out in errors.items():
+        r, p, comp = _resolve_cell(config, cell)
+        longest[r] = max(longest.get(r, 0), p)
+        cv_groups = (
+            [[c] for c in range(n_cv)] if _plan_varies_with_cv(config, r, p) else [range(n_cv)]
+        )
+        groups += [
+            (_solve_key(config, comp, s, cvs[0], r, p), cell, out, s, cvs)
+            for s in splits
+            for cvs in cv_groups
+        ]
 
-    def work(key, trials):
+    def prepare(s, r):
+        _get_pivot_order(config, cache, s, r)
+        p = longest[r]
+        if config.policy.oversample == "odeim-e" and p > min(r, config.dataset.n):
+            _get_plan(config, cache, s, 0, r, p)
+
+    def run_group(key, cell, out, s, cvs):
         cache.solves[key] = {}
         try:
-            for t, s, c, z in trials:
-                errors[t] = run_trial(config, s, c, z, cell, cache)
+            for c in cvs:
+                for z in range(n_noise):
+                    out[(s * n_cv + c) * n_noise + z] = run_trial(config, s, c, z, cell, cache)
         finally:
             del cache.solves[key]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, groups.keys(), groups.values()))
-    else:
-        for key, trials in groups.items():
-            work(key, trials)
-    return errors
+    stages = (
+        [(prepare, (s, r)) for r in sorted(longest, reverse=True) for s in splits],
+        [(run_group, group) for group in groups],
+    )
+    with kernels.single_blas_thread():
+        for s in splits:
+            _get_split(config, cache, s)
+            if config.basis_kind == "svd":
+                _get_left_vectors(config, cache, s)
+        workers = min(threads, os.cpu_count() or 1)
+        if workers == 1:
+            for stage in stages:
+                for fn, args in stage:
+                    fn(*args)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                try:
+                    for stage in stages:
+                        for future in [pool.submit(fn, *args) for fn, args in stage]:
+                            future.result()
+                except BaseException:
+                    # An error or an interrupt ends the sweep now, not after
+                    # every queued task has run.
+                    pool.shutdown(cancel_futures=True)
+                    raise
+    return [errors[cell] for cell in cells]
+
+
+def _check_threads(threads) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
 
 def _summarize(errors: np.ndarray) -> tuple[float, float]:
@@ -408,22 +472,19 @@ def sweep_modes_sensors(config, r_grid, p_grid, threads: int = 1) -> list[CellRe
     """Mean error for every (r, p) cell over the configured trial counts.
 
     Cells are ordered row-major over r_grid x p_grid. Infeasible cells are
-    rejected up front with the offending cell named.
+    rejected up front with the offending cell named. ``threads`` is the
+    number of trial workers (see :func:`_sweep_errors`); it must be >= 1.
     """
+    _check_threads(threads)
     r_grid = [int(r) for r in r_grid]
     p_grid = [int(p) for p in p_grid]
     if not r_grid or not p_grid:
         raise ValueError("r_grid and p_grid must be nonempty")
     cells = [(r, p) for r in r_grid for p in p_grid]
-    for cell in cells:
-        _resolve_cell(config, cell)
-    cache = _SweepCache()
-    _prefill(config, cache, cells)
-    out = []
-    for r, p in cells:
-        mean, std = _summarize(_cell_errors(config, cache, (r, p), threads))
-        out.append(CellResult(r, p, mean, std, config.trials))
-    return out
+    return [
+        CellResult(r, p, *_summarize(errors), config.trials)
+        for (r, p), errors in zip(cells, _sweep_errors(config, cells, threads))
+    ]
 
 
 def mf_sweep(config, threads: int = 1) -> list[CompositionResult]:
@@ -431,7 +492,9 @@ def mf_sweep(config, threads: int = 1) -> list[CompositionResult]:
 
     The first element is the all-cheap endpoint and the last the
     all-expensive one; zero-sensor compositions are skipped with a warning.
+    ``threads`` is as for :func:`sweep_modes_sensors`.
     """
+    _check_threads(threads)
     if config.budget is None:
         raise ValueError("mf_sweep needs a budget in the configuration")
     comps = [
@@ -444,13 +507,10 @@ def mf_sweep(config, threads: int = 1) -> list[CompositionResult]:
             warnings.warn(f"skipping composition {comp}: places zero sensors")
             continue
         runnable.append(comp)
-    cache = _SweepCache()
-    _prefill(config, cache, runnable)
-    out = []
-    for comp in runnable:
-        mean, std = _summarize(_cell_errors(config, cache, comp, threads))
-        out.append(CompositionResult(comp, mean, std, config.trials))
-    return out
+    return [
+        CompositionResult(comp, *_summarize(errors), config.trials)
+        for comp, errors in zip(runnable, _sweep_errors(config, runnable, threads))
+    ]
 
 
 def min_error_curve(

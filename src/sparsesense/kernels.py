@@ -32,11 +32,19 @@ few r x r eigenproblems, instead of n of them. Because the bracket error is
 far below the tolerance, the exhaustive scan's pick always survives and the
 confirmation reproduces it bit for bit, ties to the lowest index included.
 ``benchmarks/bench_kernels.py`` times both kernels.
+
+:func:`single_blas_thread` pins the OpenBLAS that numpy links to one thread
+for the duration of a block. The sweep engine runs every trial inside it, so
+its pool workers are the only parallelism and results do not depend on how
+many threads the machine's BLAS would otherwise use.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -75,6 +83,110 @@ def using_numba() -> bool:
 
 def backend_name() -> str:
     return "numba" if using_numba() else "numpy"
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread pin
+# ---------------------------------------------------------------------------
+
+# (get, set) thread-count symbols of the OpenBLAS builds numpy links, in the
+# order they are tried: scipy-openblas wheels, 64-bit-index OpenBLAS, plain
+# OpenBLAS.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _numpy_blas_paths() -> list[str]:
+    """OpenBLAS libraries bundled with numpy: ``numpy.libs/`` in manylinux
+    wheels, ``numpy/.dylibs/`` in macOS wheels."""
+    import glob
+
+    root = os.path.dirname(np.__file__)
+    patterns = (
+        os.path.join(root, os.pardir, "numpy.libs", "*openblas*"),
+        os.path.join(root, ".dylibs", "*openblas*"),
+    )
+    return sorted(path for pattern in patterns for path in glob.glob(pattern))
+
+
+def _load_blas_control(paths):
+    """(get, set) thread-count functions of the first library in paths that
+    exports a known symbol pair, or None."""
+    import ctypes
+
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            set_ = getattr(lib, set_name, None)
+            if get is None or set_ is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@functools.cache
+def _blas_control():
+    """numpy's BLAS thread controls, or None if unknown. Looked up on first
+    use (glob and ctypes included), so importing this module stays cheap."""
+    return _load_blas_control(_numpy_blas_paths())
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 1
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the block with numpy's BLAS on one thread.
+
+    Reentrant and shared by all threads: the first entry saves the BLAS
+    thread count and sets it to 1, the last exit restores it, and nested or
+    concurrent entries in between only count. Without a controllable
+    OpenBLAS (see :func:`blas_record`) it does nothing.
+    """
+    global _pin_depth, _pin_saved
+    control = _blas_control()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            set_(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_saved)
+
+
+def blas_record() -> dict[str, str]:
+    """The BLAS numpy was built with, and whether sweeps pin it.
+
+    ``blas`` is the build's name and version; ``blas-threads`` is ``1`` when
+    :func:`single_blas_thread` controls the library and ``unmanaged`` when
+    it cannot, in which case trials use whatever thread count BLAS picks.
+    """
+    try:
+        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{info.get('name')} {info.get('version')}"
+    except (KeyError, TypeError):  # pragma: no cover - no build metadata
+        name = "unknown"
+    return {"blas": name, "blas-threads": "1" if _blas_control() else "unmanaged"}
 
 
 # ---------------------------------------------------------------------------

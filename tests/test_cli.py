@@ -4,6 +4,8 @@ import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
+from sparsesense import kernels
 from sparsesense.cli import main, parse_mf_csv, parse_sweep_csv
 from sparsesense.dataset import load_matrix
 
@@ -142,6 +144,30 @@ def test_sweep_threads_do_not_change_output(tmp_path):
     assert main(_sweep_args(data, out1, extra=("--threads", "1"))) == 0
     assert main(_sweep_args(data, out2, extra=("--threads", "4"))) == 0
     assert open(out1 / "sweep.csv", "rb").read() == open(out2 / "sweep.csv", "rb").read()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_threads_below_one_are_usage_errors(tmp_path, capsys, value):
+    data = _make_dataset(tmp_path)
+    capsys.readouterr()
+    for args in (_sweep_args, _mf_args):
+        assert main(args(data, tmp_path / "out", extra=("--threads", value))) == 64
+        assert "--threads must be >= 1" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text(f"threads={value}\n")
+    assert main(_sweep_args(data, tmp_path / "out", extra=("--config", str(config)))) == 64
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_and_mf_manifests_record_the_blas(tmp_path):
+    data = _make_dataset(tmp_path)
+    record = kernels.blas_record()
+    for args, out in ((_sweep_args, tmp_path / "sw"), (_mf_args, tmp_path / "mf")):
+        assert main(args(data, out)) == 0
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert f"blas={record['blas']}" in lines
+        assert f"blas-threads={record['blas-threads']}" in lines
+        assert record["blas-threads"] in ("1", "unmanaged")
 
 
 def test_results_csv_floats_round_trip_exactly():

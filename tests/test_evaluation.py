@@ -1,6 +1,7 @@
 """Reconstruction, error metrics, trial seeding, sweeps, classification."""
 
 import sys
+import time
 from collections import Counter
 
 import numpy as np
@@ -632,3 +633,150 @@ def test_mf_sweep_factors_each_theta_once(monkeypatch):
     assert thetas < counts["lstsq_minnorm"]
     for name in ("run_trial", "reconstruct", "lstsq_minnorm"):
         assert counts[name] == len(results) * config.trials
+
+
+# ---------------------------------------------------------------------------
+# sweep-wide pool and the BLAS thread pin
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (40, 13), (300, 17)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_error_in_place_equals_fractional_error(shape, seed):
+    rng = np.random.default_rng(seed)
+    wide = rng.standard_normal((shape[0], 2 * shape[1])) * 10.0 ** rng.uniform(-5, 5)
+    Xhat = wide[:, ::2] + rng.standard_normal(shape) * 10.0 ** rng.uniform(-12, 0)
+    # A contiguous reference, as the sweep's test sets are, and a strided one.
+    for X in (np.ascontiguousarray(wide[:, ::2]), wide[:, ::2]):
+        want = fractional_error(X, Xhat)
+        assert evaluation._error_in_place(X, Xhat.copy(), float(np.linalg.norm(X))) == want
+
+
+def test_error_in_place_rejects_zero_reference():
+    with pytest.raises(ValueError, match="zero norm"):
+        evaluation._error_in_place(np.zeros((2, 2)), np.ones((2, 2)), 0.0)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_sweeps_reject_fewer_than_one_thread(threads):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        sweep_modes_sensors(_noisy_config(), [4], [5], threads=threads)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        mf_sweep(_mf_config(), threads=threads)
+
+
+@pytest.mark.parametrize(
+    "cpus,threads,want", [(3, 8, 3), (4, 2, 2), (1, 8, None), (None, 4, None)]
+)
+def test_sweep_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, threads, want):
+    sizes = []
+
+    class RecordingPool(evaluation.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: cpus)
+    config = _noisy_config()
+    assert sweep_modes_sensors(config, [4], [5, 10], threads=threads) == (
+        sweep_modes_sensors(config, [4], [5, 10], threads=1)
+    )
+    # A single worker runs on the calling thread, without a pool.
+    assert sizes == ([] if want is None else [want])
+
+
+def test_compositions_sharing_a_plan_keep_their_own_results(monkeypatch):
+    config = _noisy_config(
+        dataset=_rank_limited_dataset(n=40, m=30, rank=8, seed=5),
+        budget=budget_from_endpoints(10, 5, 1.0),
+        composition_steps=11,
+    )
+    sequential = mf_sweep(config, threads=1)
+    pairs = [(res.composition.p_cheap, res.composition.p_exp) for res in sequential]
+    # Both have p = 9, so they solve with the same plan of the same split.
+    assert (9, 0) in pairs and (8, 1) in pairs
+    assert mf_sweep(config, threads=2) == sequential
+    for res in sequential:
+        assert (res.mean_error, res.std_error) == _fresh_summary(config, res.composition)
+    # More workers than cores, switching often, on one sweep-wide pool.
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert mf_sweep(config, threads=8) == sequential
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.fixture(scope="module")
+def blas_scale_config():
+    """n = 1024 sensors, p up to 200 and r up to 100: shapes at which BLAS
+    splits its work over threads."""
+    if kernels._blas_control() is None:
+        pytest.skip("numpy links no OpenBLAS whose thread count can be set")
+    ds = synthesize(SpectrumSpec(1.21e5, -1.1, 160), n=1024, m=160, seed=3)
+    return ExperimentConfig(
+        dataset=ds,
+        level_cheap=0.02,
+        level_exp=0.01,
+        budget=budget_from_endpoints(200, 4, 1.0),
+        composition_steps=4,
+        n_splits=1,
+        n_placement_cv=2,
+        n_noise=2,
+        master_seed=9,
+    )
+
+
+def test_sweeps_do_not_depend_on_the_blas_thread_count(blas_scale_config):
+    config = blas_scale_config
+    get, set_ = kernels._blas_control()
+    saved = get()
+    runs = []
+    try:
+        for preset in (2, 1):
+            set_(preset)
+            for threads in (1, 2):
+                runs.append((
+                    sweep_modes_sensors(config, [20, 100], [40, 200], threads=threads),
+                    mf_sweep(config, threads=threads),
+                ))
+                assert get() == preset
+    finally:
+        set_(saved)
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def test_sweep_error_cancels_the_queued_trials(monkeypatch):
+    calls = []
+
+    def failing_trial(config, s, c, z, cell, cache=None):
+        calls.append(cell)
+        if len(calls) == 1:
+            raise RuntimeError("trial failed")
+        time.sleep(0.01)
+        return 0.0
+
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(evaluation, "run_trial", failing_trial)
+    config = _noisy_config()
+    with pytest.raises(RuntimeError, match="trial failed"):
+        sweep_modes_sensors(config, [4], [5, 10], threads=2)
+    assert len(calls) < 2 * config.trials // 2
+
+
+def test_sweep_with_a_repeated_cell_runs_it_once(monkeypatch):
+    config = _noisy_config()
+    single = sweep_modes_sensors(config, [4], [10])
+    calls = []
+    trial = evaluation.run_trial
+
+    def counting_trial(*args):
+        calls.append(args[1:4])
+        return trial(*args)
+
+    monkeypatch.setattr(evaluation, "run_trial", counting_trial)
+    repeated = sweep_modes_sensors(config, [4, 4], [10], threads=2)
+    assert repeated == single * 2
+    assert len(calls) == config.trials

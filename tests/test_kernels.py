@@ -3,6 +3,8 @@ and the secular-equation sigma_min scan picks exactly the rows of an
 exhaustive stacked-eigvalsh scan."""
 
 import importlib.util
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -155,3 +157,98 @@ def test_bench_kernels_script_runs(capsys):
     out = capsys.readouterr().out
     assert "column-pivoted QR" in out
     assert "sigma_min" in out
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread pin
+# ---------------------------------------------------------------------------
+
+
+def _blas_threads_or_skip():
+    control = kernels._blas_control()
+    if control is None:
+        pytest.skip("numpy links no OpenBLAS whose thread count can be set")
+    return control
+
+
+@pytest.fixture
+def blas_preset():
+    """Set the process's BLAS thread count; restored after the test."""
+    get, set_ = _blas_threads_or_skip()
+    saved = get()
+    yield set_
+    set_(saved)
+
+
+def test_single_blas_thread_pins_nests_and_restores(blas_preset):
+    get, _ = kernels._blas_control()
+    blas_preset(2)
+    before = get()
+    with kernels.single_blas_thread():
+        assert get() == 1
+        with kernels.single_blas_thread():
+            assert get() == 1
+        assert get() == 1
+    assert get() == before
+
+
+def test_single_blas_thread_holds_across_threads(blas_preset):
+    get, _ = kernels._blas_control()
+    blas_preset(2)
+    before = get()
+    seen = []
+
+    def enter_often():
+        for _ in range(200):
+            with kernels.single_blas_thread():
+                seen.append(get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # Entries and exits interleave, so the first entry and the last exit
+        # move between threads.
+        workers = [threading.Thread(target=enter_often) for _ in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [1] * 1600
+    assert get() == before
+
+
+def test_single_blas_thread_restores_after_an_error(blas_preset):
+    get, _ = kernels._blas_control()
+    blas_preset(2)
+    before = get()
+    with pytest.raises(RuntimeError):
+        with kernels.single_blas_thread():
+            raise RuntimeError("boom")
+    assert get() == before
+
+
+def test_single_blas_thread_is_a_noop_without_a_known_blas(monkeypatch, blas_preset):
+    get, _ = kernels._blas_control()
+    blas_preset(2)
+    before = get()
+    monkeypatch.setattr(kernels, "_blas_control", lambda: None)
+    with kernels.single_blas_thread():
+        assert get() == before
+    assert kernels.blas_record()["blas-threads"] == "unmanaged"
+
+
+def test_blas_discovery_fails_softly(tmp_path):
+    not_a_library = tmp_path / "libopenblas.so"
+    not_a_library.write_bytes(b"not a shared object")
+    assert kernels._load_blas_control([]) is None
+    assert kernels._load_blas_control([str(not_a_library)]) is None
+
+
+def test_blas_record_reports_the_pin():
+    record = kernels.blas_record()
+    assert record["blas"]
+    managed = kernels._blas_control() is not None
+    assert record["blas-threads"] == ("1" if managed else "unmanaged")
