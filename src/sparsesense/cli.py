@@ -352,21 +352,24 @@ def _cmd_place(args, cfg) -> int:
     policy = PlacementPolicy(oversample=oversample)
     cap = min(ds.n, ds.m)
     r = modes if modes is not None else min(policy.modes_for(p), cap)
-    if basis_kind == "svd":
-        basis = svd_basis(ds.X, r)
-    elif basis_kind == "randomized":
-        basis = randomized_basis(ds.X, r, seed)
-    else:
-        raise _UsageError(f"unknown basis {basis_kind!r}")
-    if modes is not None:
-        if p <= basis.r:
-            plan = qr_pivots(basis, p)
-        elif oversample == "random":
-            plan = oversample_random(basis, p, seed)
+    # One BLAS thread, as in sweeps, so the sensors do not depend on the
+    # machine's core count.
+    with kernels.single_blas_thread():
+        if basis_kind == "svd":
+            basis = svd_basis(ds.X, r)
+        elif basis_kind == "randomized":
+            basis = randomized_basis(ds.X, r, seed)
         else:
-            plan = oversample_sigma_min(basis, p)
-    else:
-        plan = place(basis, p, policy, seed=seed)
+            raise _UsageError(f"unknown basis {basis_kind!r}")
+        if modes is not None:
+            if p <= basis.r:
+                plan = qr_pivots(basis, p)
+            elif oversample == "random":
+                plan = oversample_random(basis, p, seed)
+            else:
+                plan = oversample_sigma_min(basis, p)
+        else:
+            plan = place(basis, p, policy, seed=seed)
 
     lines = ["rank,location"]
     lines += [f"{i},{loc}" for i, loc in enumerate(plan.locations)]

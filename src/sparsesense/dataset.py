@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .linalg import as_matrix, random_orthonormal_columns
 from .seeding import derive_seed
 
@@ -116,9 +117,11 @@ def synthesize(spec: SpectrumSpec, n: int, m: int, seed: int) -> Dataset:
     if spec.n_sv > min(n, m):
         raise ValueError(f"n_sv = {spec.n_sv} exceeds min(n, m) = {min(n, m)}")
     sigma = power_law_spectrum(spec)
-    U = random_orthonormal_columns(n, spec.n_sv, derive_seed(seed, _LEFT_FACTOR_TAG))
-    V = random_orthonormal_columns(m, spec.n_sv, derive_seed(seed, _RIGHT_FACTOR_TAG))
-    X = (U * sigma) @ V.T
+    # One BLAS thread, so the bytes do not depend on the machine's core count.
+    with kernels.single_blas_thread():
+        U = random_orthonormal_columns(n, spec.n_sv, derive_seed(seed, _LEFT_FACTOR_TAG))
+        V = random_orthonormal_columns(m, spec.n_sv, derive_seed(seed, _RIGHT_FACTOR_TAG))
+        X = (U * sigma) @ V.T
     name = f"synthetic(a={spec.amplitude:g}, b={spec.exponent:g}, n_sv={spec.n_sv})"
     return Dataset(X, name, SyntheticSource(spec, seed))
 

@@ -4,10 +4,12 @@ Single seeded trials, mode/sensor sweeps, multi-fidelity composition sweeps,
 and regime classification. Every trial seed is derived from (master seed,
 split index, placement-CV index, noise index) with an avalanche-quality
 mixer, so results are pure functions of the configuration and independent of
-execution schedule. The optional cache memoizes per-split work (splits,
-bases, pivots, greedy tails) and, while a sweep runs the trials that share one
-sensor plan, the factorization of that plan's measurement matrix; both are
-pure accelerators, so results are bit-for-bit those of a fresh cache.
+execution schedule. The optional cache memoizes per-split work (splits, with
+a row-major copy of the test snapshots, bases, pivots, greedy tails) and,
+while a sweep runs the trials that share one sensor plan, what is fixed for
+that plan: the plan itself, the per-sensor noise levels, the measurement
+matrix Theta and its factorization. Both are pure accelerators, so results
+are bit-for-bit those of a fresh cache.
 
 Trials and sweeps run with numpy's BLAS pinned to one thread
 (:func:`kernels.single_blas_thread`), so a sweep's thread pool is its only
@@ -62,10 +64,14 @@ REGIME_MIXED_BEST = "mixed-best"
 def reconstruct(basis: Basis, plan: SensorPlan, Y, memo: dict | None = None) -> np.ndarray:
     """Full-state estimate from sparse measurements: Psi @ pinv(Theta) @ Y.
 
-    ``memo`` is passed on to :func:`lstsq_minnorm`; it must belong to this
-    basis and plan.
+    ``memo`` must belong to this basis and plan: the first call stores Theta
+    in it, and it is passed on to :func:`lstsq_minnorm`.
     """
-    theta = measure(basis.psi, plan)
+    theta = None if memo is None else memo.get("theta")
+    if theta is None:
+        theta = measure(basis.psi, plan)
+        if memo is not None:
+            memo["theta"] = theta
     return basis.psi @ lstsq_minnorm(theta, Y, memo=memo)
 
 
@@ -197,12 +203,15 @@ class _SweepCache:
     configuration.
 
     Per-split entries (splits with their test-set norms, bases, pivots,
-    greedy tails) live as long as the cache. ``solves`` maps a trial's
-    :func:`_solve_key` to the :func:`lstsq_minnorm` memo of its measurement
-    matrix; only :func:`_sweep_errors` opens one, for the group of trials of
-    one cell sharing that plan, and drops it when the group is done, so at
-    most one factorization per worker thread is alive and none outlives a
-    sweep.
+    greedy tails) live as long as the cache. A split's test snapshots are
+    held as one row-major array, the order in which trials gather sensor
+    rows and subtract estimates. ``solves`` maps a trial's
+    :func:`_solve_key` to the memo of its plan: :func:`run_trial` stores the
+    plan and the per-sensor sigmas in it on the group's first trial,
+    :func:`reconstruct` Theta, and :func:`lstsq_minnorm` Theta's factors.
+    Only :func:`_sweep_errors` opens one, for the group of trials of one
+    cell sharing that plan, and drops it when the group is done, so at most
+    one such memo per worker thread is alive and none outlives a sweep.
     """
 
     def __init__(self):
@@ -222,7 +231,11 @@ def _get_split(config, cache, split_idx):
             config.train_fraction,
             derive_seed(config.master_seed, _TAG_SPLIT, split_idx),
         )
-        hit = (sd, overall_variance(sd.train), float(np.linalg.norm(sd.test)))
+        # np.linalg.norm sums in memory order, so take it of the split's own
+        # (column-gathered) array; then keep only a row-major copy.
+        test_norm = float(np.linalg.norm(sd.test))
+        sd = replace(sd, test=np.ascontiguousarray(sd.test))
+        hit = (sd, overall_variance(sd.train), test_norm)
         cache.splits[split_idx] = hit
     return hit
 
@@ -350,20 +363,25 @@ def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
     with kernels.single_blas_thread():
         sd, ref_var, test_norm = _get_split(config, cache, split_idx)
         basis = _get_basis(config, cache, split_idx, r)
-        plan = _get_plan(config, cache, split_idx, cv_idx, r, p)
-        if comp is not None:
-            noise = NoiseModel(config.level_cheap, config.level_exp, ref_var)
-            sigmas = assign_fidelities(plan, comp, noise)
+        memo = cache.solves.get(_solve_key(config, comp, split_idx, cv_idx, r, p))
+        if memo is not None and "plan" in memo:
+            plan, sigmas = memo["plan"]
         else:
-            noise = NoiseModel(config.level_cheap, config.level_cheap, ref_var)
-            sigmas = np.full(p, noise.sigma_cheap)
+            plan = _get_plan(config, cache, split_idx, cv_idx, r, p)
+            if comp is not None:
+                noise = NoiseModel(config.level_cheap, config.level_exp, ref_var)
+                sigmas = assign_fidelities(plan, comp, noise)
+            else:
+                noise = NoiseModel(config.level_cheap, config.level_cheap, ref_var)
+                sigmas = np.full(p, noise.sigma_cheap)
+            if memo is not None:
+                memo["plan"] = plan, sigmas
         Y = noisy_measure(
             sd.test,
             plan,
             sigmas,
             derive_seed(config.master_seed, _TAG_NOISE, split_idx, cv_idx, noise_idx),
         )
-        memo = cache.solves.get(_solve_key(config, comp, split_idx, cv_idx, r, p))
         Xhat = reconstruct(basis, plan, Y, memo=memo)
         return _error_in_place(sd.test, Xhat, test_norm)
 

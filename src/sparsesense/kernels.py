@@ -31,7 +31,8 @@ A step costs one n x r x r product, O(n r) per root-finding iteration and a
 few r x r eigenproblems, instead of n of them. Because the bracket error is
 far below the tolerance, the exhaustive scan's pick always survives and the
 confirmation reproduces it bit for bit, ties to the lowest index included.
-``benchmarks/bench_kernels.py`` times both kernels.
+The kernel micro section of a traced benchmark run
+(``perfbench/run.py --trace 1``) times both kernels.
 
 :func:`single_blas_thread` pins the OpenBLAS that numpy links to one thread
 for the duration of a block. The sweep engine runs every trial inside it, so

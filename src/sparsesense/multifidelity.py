@@ -172,5 +172,9 @@ def noisy_measure(X, plan: SensorPlan, sigmas, seed: int) -> np.ndarray:
     if np.any(sigmas < 0) or not np.all(np.isfinite(sigmas)):
         raise ValueError("sigmas must be finite and non-negative")
     Y = measure(X, plan)
-    rng = np.random.default_rng(seed)
-    return Y + rng.standard_normal(Y.shape) * sigmas[:, None]
+    E = np.random.default_rng(seed).standard_normal(Y.shape)
+    # Scaling and then adding Y into the draw gives the bits of
+    # Y + E * sigmas[:, None]: IEEE addition is commutative.
+    E *= sigmas[:, None]
+    E += Y
+    return E

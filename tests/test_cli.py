@@ -101,6 +101,19 @@ def test_place_emits_ranked_locations(tmp_path):
     assert len(set(locations)) == 8
 
 
+@pytest.mark.parametrize("basis", ["svd", "randomized"])
+def test_place_does_not_depend_on_the_blas_thread_count(tmp_path, blas_preset, basis):
+    data = _make_dataset(tmp_path, n=1024, m=300)
+    outputs = []
+    for preset in (2, 1):
+        blas_preset(preset)
+        out = tmp_path / f"placed{preset}"
+        args = ("--data", data, "--p", "120", "--basis", basis, "--out-dir", str(out))
+        assert _run("place", *args) == 0
+        outputs.append((out / "sensors.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

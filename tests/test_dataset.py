@@ -71,6 +71,17 @@ def test_synthesize_deterministic():
     np.testing.assert_array_equal(a.X, b.X)
 
 
+def test_synthesize_does_not_depend_on_the_blas_thread_count(blas_preset):
+    # The benchmark's shape: large enough that OpenBLAS splits its QR and
+    # GEMM work over threads when allowed to.
+    spec = SpectrumSpec(1.21e5, -1.1, 512)
+    runs = []
+    for preset in (2, 1):
+        blas_preset(preset)
+        runs.append(synthesize(spec, 1024, 600, seed=0).X)
+    assert np.array_equal(runs[0], runs[1])
+
+
 def test_synthesize_rejects_oversized_spectrum():
     with pytest.raises(ValueError):
         synthesize(SpectrumSpec(1.0, -1.0, 11), 10, 20, seed=0)

@@ -24,6 +24,7 @@ from sparsesense.evaluation import (
 )
 from sparsesense.multifidelity import Composition, budget_from_endpoints
 from sparsesense.placement import PlacementPolicy, SensorPlan, qr_pivots
+from sparsesense.seeding import derive_seed
 
 
 def _rank_limited_dataset(n=60, m=40, rank=6, seed=0):
@@ -457,6 +458,25 @@ def test_randomized_basis_trials_run():
     assert all(np.isfinite(c.mean_error) for c in cells)
 
 
+@pytest.mark.parametrize("basis_kind", ["svd", "randomized"])
+@pytest.mark.parametrize("oversample", ["random", "odeim-e"])
+def test_sweep_with_r_above_the_data_rank(basis_kind, oversample):
+    config = ExperimentConfig(
+        dataset=_rank_limited_dataset(n=60, m=40, rank=6, seed=13),
+        basis_kind=basis_kind,
+        policy=PlacementPolicy(oversample=oversample),
+        n_splits=2,
+        n_placement_cv=2,
+        n_noise=2,
+        master_seed=17,
+    )
+    # r = 10 and 20 exceed the rank 6; the CPQR pivots past the rank are
+    # chosen among roundoff-level residuals.
+    cells = sweep_modes_sensors(config, [4, 10, 20], [8, 20, 30], threads=1)
+    assert all(np.isfinite([c.mean_error, c.std_error]).all() for c in cells)
+    assert sweep_modes_sensors(config, [4, 10, 20], [8, 20, 30], threads=2) == cells
+
+
 def test_sigma_min_mf_sweep_reuses_tails_and_matches_fresh_trials(monkeypatch):
     ds = _rank_limited_dataset(n=40, m=30, rank=8, seed=14)
     config = ExperimentConfig(
@@ -590,8 +610,13 @@ def test_sweep_cache_drops_every_factorization(monkeypatch):
     assert 1 <= min(open_counts) and max(open_counts) <= 2
 
 
+_PER_TRIAL = ("run_trial", "reconstruct", "lstsq_minnorm", "noisy_measure")
+_PER_PLAN = ("_get_plan", "measure")
+
+
 def _count_work(monkeypatch, sweep):
-    """Run sweep() counting SVDs, distinct Thetas and per-trial layer calls."""
+    """Run sweep() counting SVDs, distinct Thetas, per-trial layer calls and
+    the per-plan work of building plans and Thetas."""
     calls = []  # list.append is atomic, so pool threads record without a lock
     thetas = set()
 
@@ -606,10 +631,21 @@ def _count_work(monkeypatch, sweep):
         return wrapper
 
     monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
-    for name in ("run_trial", "reconstruct", "lstsq_minnorm"):
+    for name in _PER_TRIAL + _PER_PLAN:
         monkeypatch.setattr(evaluation, name, counting(name, getattr(evaluation, name)))
     results = sweep()
     return results, Counter(calls), len(thetas)
+
+
+def _plan_groups(config, cells) -> int:
+    """Trial groups sharing one plan: one per split, or per split and cv
+    draw for a random oversampling tail."""
+    groups = 0
+    for cell in cells:
+        r, p, _ = evaluation._resolve_cell(config, cell)
+        varies = evaluation._plan_varies_with_cv(config, r, p)
+        groups += config.n_splits * (config.n_placement_cv if varies else 1)
+    return groups
 
 
 def test_sweep_factors_each_theta_once(monkeypatch):
@@ -621,8 +657,11 @@ def test_sweep_factors_each_theta_once(monkeypatch):
     assert thetas == 3 * config.n_splits * config.n_placement_cv + config.n_splits
     # The randomized basis needs no SVD, so every SVD factors one Theta.
     assert counts["svd"] == thetas
-    for name in ("run_trial", "reconstruct", "lstsq_minnorm"):
+    for name in _PER_TRIAL:
         assert counts[name] == len(results) * config.trials
+    # Each group builds its plan and its Theta once.
+    for name in _PER_PLAN:
+        assert counts[name] == thetas
 
 
 def test_mf_sweep_factors_each_theta_once(monkeypatch):
@@ -631,8 +670,49 @@ def test_mf_sweep_factors_each_theta_once(monkeypatch):
     # One basis SVD per split, then one SVD per distinct Theta.
     assert counts["svd"] == config.n_splits + thetas
     assert thetas < counts["lstsq_minnorm"]
-    for name in ("run_trial", "reconstruct", "lstsq_minnorm"):
+    for name in _PER_TRIAL:
         assert counts[name] == len(results) * config.trials
+    groups = _plan_groups(config, [res.composition for res in results])
+    assert thetas <= groups < len(results) * config.trials
+    for name in _PER_PLAN:
+        assert counts[name] == groups
+
+
+def test_odeim_sweep_builds_each_plan_once(monkeypatch):
+    config = _noisy_config(policy=PlacementPolicy(oversample="odeim-e"))
+    cells = [(4, 5), (4, 10), (6, 5), (6, 10)]
+    results, counts, _ = _count_work(
+        monkeypatch, lambda: sweep_modes_sensors(config, [4, 6], [5, 10], threads=2)
+    )
+    for name in _PER_TRIAL:
+        assert counts[name] == len(results) * config.trials
+    groups = _plan_groups(config, cells)
+    assert groups == len(cells) * config.n_splits
+    assert counts["measure"] == groups
+    # Preparing each (split, r) also builds the longest plan once, to fill
+    # the greedy tail.
+    assert counts["_get_plan"] == groups + 2 * config.n_splits
+
+
+def test_split_cache_keeps_a_row_major_test_matrix():
+    config = _noisy_config()
+    cache = evaluation._SweepCache()
+    for s in range(config.n_splits):
+        sd, _, test_norm = evaluation._get_split(config, cache, s)
+        own = split(
+            config.dataset,
+            config.train_fraction,
+            derive_seed(config.master_seed, evaluation._TAG_SPLIT, s),
+        )
+        # The column gather gives a column-major test set; the cache holds a
+        # row-major copy of it and no other.
+        assert own.test.flags.f_contiguous and not own.test.flags.c_contiguous
+        assert sd.test.flags.c_contiguous and sd.test.base is None
+        assert np.array_equal(sd.test, own.test)
+        assert np.array_equal(sd.train, own.train)
+        # The norm is the split's own array's, summed in its memory order.
+        assert test_norm == float(np.linalg.norm(own.test))
+        assert evaluation._get_split(config, cache, s)[0] is sd
 
 
 # ---------------------------------------------------------------------------

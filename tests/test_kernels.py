@@ -2,18 +2,13 @@
 and the secular-equation sigma_min scan picks exactly the rows of an
 exhaustive stacked-eigvalsh scan."""
 
-import importlib.util
 import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sparsesense import kernels
-
-BENCH_KERNELS = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
-
 
 needs_numba = pytest.mark.skipif(
     not kernels.NUMBA_AVAILABLE, reason="numba not installed"
@@ -149,35 +144,9 @@ def test_warmup_is_idempotent():
     kernels.warmup()
 
 
-def test_bench_kernels_script_runs(capsys):
-    spec = importlib.util.spec_from_file_location("bench_kernels", BENCH_KERNELS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    module.main(["--repeats", "1"])
-    out = capsys.readouterr().out
-    assert "column-pivoted QR" in out
-    assert "sigma_min" in out
-
-
 # ---------------------------------------------------------------------------
 # BLAS thread pin
 # ---------------------------------------------------------------------------
-
-
-def _blas_threads_or_skip():
-    control = kernels._blas_control()
-    if control is None:
-        pytest.skip("numpy links no OpenBLAS whose thread count can be set")
-    return control
-
-
-@pytest.fixture
-def blas_preset():
-    """Set the process's BLAS thread count; restored after the test."""
-    get, set_ = _blas_threads_or_skip()
-    saved = get()
-    yield set_
-    set_(saved)
 
 
 def test_single_blas_thread_pins_nests_and_restores(blas_preset):

@@ -140,6 +140,117 @@ def test_pivot_result_validates_invariants():
 
 
 # ---------------------------------------------------------------------------
+# cpqr property suite: nasty inputs, checked against the contract
+# ---------------------------------------------------------------------------
+
+
+def _kahan(n, theta=1.2, perturb=0.0, seed=0):
+    """Kahan's matrix diag(s^i) (I - c * strict upper ones): every column has
+    unit norm in exact arithmetic, so each pivot is a near-tie."""
+    s, c = np.sin(theta), np.cos(theta)
+    K = np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+    return K + perturb * np.random.default_rng(seed).standard_normal((n, n))
+
+
+def _rank_deficient(rows, cols, rank, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+
+
+def _near_duplicates(rows, cols, seed, eps):
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((rows, cols))
+    twins = rng.choice(cols, size=cols // 2, replace=False)
+    V[:, twins[1::2]] = V[:, twins[::2]] + eps * rng.standard_normal((rows, twins.size // 2))
+    return V
+
+
+_NASTY = {
+    **{
+        f"rank{q}-of-{r}x{n}-seed{seed}": _rank_deficient(r, n, q, seed)
+        for r, n, q in [(8, 30, 3), (12, 12, 5), (30, 8, 2), (10, 40, 1)]
+        for seed in range(3)
+    },
+    **{
+        f"near-dup-{eps:g}-seed{seed}": _near_duplicates(9, 24, seed, eps)
+        for eps in (1e-6, 1e-10, 1e-14)
+        for seed in range(3)
+    },
+    **{f"kahan-{n}": _kahan(n) for n in (5, 12, 30)},
+    **{f"kahan-{n}-perturbed": _kahan(n, perturb=1e-13, seed=n) for n in (12, 30)},
+    "identity": np.eye(7),
+    "repeated-identity": np.hstack([np.eye(5), np.eye(5)]),
+    "zeros-wide": np.zeros((4, 9)),
+    "zeros-tall": np.zeros((9, 4)),
+    "wide": np.random.default_rng(11).standard_normal((6, 40)),
+    "tall": np.random.default_rng(12).standard_normal((40, 6)),
+}
+
+
+def _assert_cpqr_contract(V, k):
+    result, Q, R = cpqr_factors(V, k)
+    piv, diag = result.pivots, result.r_diag
+    assert np.linalg.norm(V[:, result.permutation] - Q @ R) <= 1e-10 * np.linalg.norm(V)
+    assert len(set(piv.tolist())) == k
+    assert np.all(diag[1:] <= diag[:-1])
+    assert sorted(result.permutation.tolist()) == list(range(V.shape[1]))
+    # Selection alone, run again, picks the same pivots with the same bits.
+    again = cpqr(V, k)
+    assert again.pivots.tolist() == piv.tolist()
+    assert again.r_diag.tobytes() == diag.tobytes()
+    return result
+
+
+@pytest.mark.parametrize("name", sorted(_NASTY))
+def test_cpqr_contract_on_nasty_inputs(name):
+    V = _NASTY[name]
+    k = min(V.shape)
+    full = _assert_cpqr_contract(V, k).pivots.tolist()
+    # Partial runs keep the contract and select a prefix of the full run.
+    for j in sorted({1, k // 2, k - 1} - {0}):
+        assert _assert_cpqr_contract(V, j).pivots.tolist() == full[:j]
+
+
+@pytest.mark.parametrize("r,n,q", [(8, 30, 3), (12, 12, 5), (30, 8, 2)])
+def test_cpqr_past_the_rank_leaves_only_roundoff(r, n, q):
+    V = _rank_deficient(r, n, q, seed=4)
+    diag = cpqr(V, min(r, n)).r_diag
+    assert np.all(diag[:q] > 1e-8 * diag[0])
+    assert np.all(diag[q:] <= 1e-12 * diag[0])
+
+
+def test_cpqr_exact_ties_go_to_the_lowest_index():
+    assert cpqr(np.eye(7), 7).pivots.tolist() == list(range(7))
+    # Each unit column is repeated; the repeat deflates to zero.
+    assert cpqr(np.hstack([np.eye(5), np.eye(5)]), 5).pivots.tolist() == list(range(5))
+    # Norms 1, 2, 2, 2, 1: ties at 2 go to column 1, its repeat (column 2)
+    # deflates to zero, and the tie at 1 goes to column 0.
+    e = np.eye(3)
+    V = np.column_stack([e[0], 2 * e[1], 2 * e[1], 2 * e[2], e[0]])
+    assert cpqr(V, 3).pivots.tolist() == [1, 3, 0]
+    # All columns zero: every step is a tie, taken in index order.
+    for shape in [(4, 9), (9, 4)]:
+        result = cpqr(np.zeros(shape), min(shape))
+        assert result.pivots.tolist() == list(range(min(shape)))
+        assert not np.any(result.r_diag)
+
+
+@pytest.mark.parametrize("rows,cols,seed", [(6, 6, 0), (6, 15, 1), (15, 6, 2)])
+def test_cpqr_pins_pivots_of_well_separated_orthogonal_columns(rows, cols, seed):
+    # Orthogonal columns with norms a factor of two apart, at random
+    # positions among zero columns: the pivots are the columns by norm.
+    rng = np.random.default_rng(seed)
+    k = min(rows, cols)
+    Q = random_orthonormal_columns(rows, k, seed)
+    where = rng.choice(cols, size=k, replace=False)
+    scales = 2.0 ** rng.permutation(k)
+    V = np.zeros((rows, cols))
+    V[:, where] = Q * scales
+    want = where[np.argsort(-scales)].tolist()
+    assert _assert_cpqr_contract(V, k).pivots.tolist() == want
+
+
+# ---------------------------------------------------------------------------
 # svd
 # ---------------------------------------------------------------------------
 

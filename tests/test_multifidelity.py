@@ -14,7 +14,7 @@ from sparsesense.multifidelity import (
     enumerate_compositions,
     noisy_measure,
 )
-from sparsesense.placement import SensorPlan
+from sparsesense.placement import SensorPlan, measure
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +177,23 @@ def test_noisy_measure_deterministic():
     np.testing.assert_array_equal(a, b)
     c = noisy_measure(X, plan, [1.0, 0.5], seed=10)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_noisy_measure_is_the_gather_plus_the_scaled_draw(seed):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 60)), int(rng.integers(1, 40))
+    p = int(rng.integers(1, n + 1))
+    X = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-3, 3)
+    plan = SensorPlan(rng.permutation(n)[:p], "qr", p)
+    sigmas = rng.uniform(0.0, 2.0, p)
+    sigmas[rng.random(p) < 0.3] = 0.0
+    noise_seed = int(rng.integers(2**32))
+    draw = np.random.default_rng(noise_seed).standard_normal((p, m))
+    want = measure(X, plan) + draw * sigmas[:, None]
+    # Row-major and column-major state matrices give the same bits.
+    for state in (X, np.asfortranarray(X)):
+        assert noisy_measure(state, plan, sigmas, noise_seed).tobytes() == want.tobytes()
 
 
 def test_noisy_measure_rejects_negative_sigma():
