@@ -42,16 +42,6 @@ class Basis:
         return self.psi.shape[0]
 
 
-def _modes_from_left_vectors(U: np.ndarray, r: int) -> np.ndarray:
-    """First r left singular vectors with a fixed sign convention: the
-    largest-magnitude entry of each column is made positive, so downstream
-    pivot sequences are reproducible."""
-    cols = U[:, :r].copy()
-    flip = cols[np.abs(cols).argmax(axis=0), np.arange(r)] < 0.0
-    cols[:, flip] *= -1.0
-    return cols
-
-
 def svd_basis(Xtr, r: int) -> Basis:
     """Basis of the first r left singular vectors of the training matrix."""
     Xtr = as_matrix(Xtr, "Xtr")
@@ -59,7 +49,13 @@ def svd_basis(Xtr, r: int) -> Basis:
     if not 1 <= r <= min(n, m):
         raise ValueError(f"r must be in [1, {min(n, m)}] for a {n}x{m} matrix, got {r}")
     U = np.linalg.svd(Xtr, full_matrices=False)[0]
-    return Basis(_modes_from_left_vectors(U, r), "svd", r)
+    # Fixed sign convention: the largest-magnitude entry of each column is
+    # made positive, so downstream pivot sequences are reproducible. The rule
+    # is per column, so a prefix of this basis is the basis at a smaller r.
+    psi = U[:, :r].copy()
+    flip = psi[np.abs(psi).argmax(axis=0), np.arange(r)] < 0.0
+    psi[:, flip] *= -1.0
+    return Basis(psi, "svd", r)
 
 
 def randomized_basis(Xtr, r: int, seed: int) -> Basis:

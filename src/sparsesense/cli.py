@@ -37,13 +37,7 @@ from .evaluation import (
     sweep_modes_sensors,
 )
 from .multifidelity import budget_from_endpoints
-from .placement import (
-    PlacementPolicy,
-    oversample_random,
-    oversample_sigma_min,
-    place,
-    qr_pivots,
-)
+from .placement import PlacementPolicy, plan_with_modes
 from .svg import line_chart
 
 _REGIME_TINTS = {
@@ -361,15 +355,7 @@ def _cmd_place(args, cfg) -> int:
             basis = randomized_basis(ds.X, r, seed)
         else:
             raise _UsageError(f"unknown basis {basis_kind!r}")
-        if modes is not None:
-            if p <= basis.r:
-                plan = qr_pivots(basis, p)
-            elif oversample == "random":
-                plan = oversample_random(basis, p, seed)
-            else:
-                plan = oversample_sigma_min(basis, p)
-        else:
-            plan = place(basis, p, policy, seed=seed)
+        plan = plan_with_modes(basis, p, oversample, seed)
 
     lines = ["rank,location"]
     lines += [f"{i},{loc}" for i, loc in enumerate(plan.locations)]

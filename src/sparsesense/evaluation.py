@@ -4,12 +4,17 @@ Single seeded trials, mode/sensor sweeps, multi-fidelity composition sweeps,
 and regime classification. Every trial seed is derived from (master seed,
 split index, placement-CV index, noise index) with an avalanche-quality
 mixer, so results are pure functions of the configuration and independent of
-execution schedule. The optional cache memoizes per-split work (splits, with
-a row-major copy of the test snapshots, bases, pivots, greedy tails) and,
-while a sweep runs the trials that share one sensor plan, what is fixed for
-that plan: the plan itself, the per-sensor noise levels, the measurement
-matrix Theta and its factorization. Both are pure accelerators, so results
-are bit-for-bit those of a fresh cache.
+execution schedule. The optional cache memoizes per-split work: splits, with
+a row-major copy of the test snapshots; bases, where an SVD sweep computes
+one SVD basis of every mode per split and each per-r basis is a view of its
+leading columns; pivots; and the longest odeim-e plan of each r. While a
+sweep runs the trials that share one sensor plan, it also memoizes what is
+fixed for that plan: the plan itself, the per-sensor noise levels, the
+measurement matrix Theta and its factorization. Both are pure accelerators,
+so results are bit-for-bit those of a fresh cache.
+
+Every sensor plan, in a sweep as in a single trial, comes from
+:func:`placement.plan_with_modes`, given the cached pivots.
 
 Trials and sweeps run with numpy's BLAS pinned to one thread
 (:func:`kernels.single_blas_thread`), so a sweep's thread pool is its only
@@ -28,7 +33,7 @@ from hashlib import sha256
 
 import numpy as np
 
-from .basis import Basis, _modes_from_left_vectors, randomized_basis
+from .basis import Basis, randomized_basis, svd_basis, truncate_basis
 from .dataset import Dataset, overall_variance, split
 from .linalg import lstsq_minnorm
 from .multifidelity import (
@@ -40,13 +45,7 @@ from .multifidelity import (
     enumerate_compositions,
     noisy_measure,
 )
-from .placement import (
-    PlacementPolicy,
-    SensorPlan,
-    _random_tail,
-    measure,
-    qr_pivots,
-)
+from .placement import PlacementPolicy, SensorPlan, measure, plan_with_modes, qr_pivots
 from . import kernels
 from .seeding import derive_seed
 
@@ -202,24 +201,28 @@ class _SweepCache:
     identical because every entry is a deterministic function of the
     configuration.
 
-    Per-split entries (splits with their test-set norms, bases, pivots,
-    greedy tails) live as long as the cache. A split's test snapshots are
-    held as one row-major array, the order in which trials gather sensor
-    rows and subtract estimates. ``solves`` maps a trial's
-    :func:`_solve_key` to the memo of its plan: :func:`run_trial` stores the
-    plan and the per-sensor sigmas in it on the group's first trial,
-    :func:`reconstruct` Theta, and :func:`lstsq_minnorm` Theta's factors.
-    Only :func:`_sweep_errors` opens one, for the group of trials of one
-    cell sharing that plan, and drops it when the group is done, so at most
-    one such memo per worker thread is alive and none outlives a sweep.
+    Per-split entries live as long as the cache: splits with their test-set
+    norms, bases, pivots and the longest odeim-e plan of each r. An SVD
+    sweep keeps one SVD basis of every mode per split (``svd_modes``); its
+    per-r bases are views of that basis's leading columns, not copies. A
+    split's test snapshots are held as one row-major array, the order in
+    which trials gather sensor rows and subtract estimates.
+
+    ``solves`` maps a trial's :func:`_solve_key` to the memo of its plan:
+    :func:`run_trial` stores the plan and the per-sensor sigmas in it on the
+    group's first trial, :func:`reconstruct` Theta, and
+    :func:`lstsq_minnorm` Theta's factors. Only :func:`_sweep_errors` opens
+    one, for the group of trials of one cell sharing that plan, and drops it
+    when the group is done, so at most one such memo per worker thread is
+    alive and none outlives a sweep.
     """
 
     def __init__(self):
         self.splits: dict = {}
-        self.left_vectors: dict = {}
+        self.svd_modes: dict = {}
         self.bases: dict = {}
         self.pivot_orders: dict = {}
-        self.greedy_tails: dict = {}
+        self.greedy_plans: dict = {}
         self.solves: dict = {}
 
 
@@ -240,13 +243,15 @@ def _get_split(config, cache, split_idx):
     return hit
 
 
-def _get_left_vectors(config, cache, split_idx) -> np.ndarray:
-    U = cache.left_vectors.get(split_idx)
-    if U is None:
-        sd = _get_split(config, cache, split_idx)[0]
-        U = np.linalg.svd(sd.train, full_matrices=False)[0]
-        cache.left_vectors[split_idx] = U
-    return U
+def _get_svd_modes(config, cache, split_idx) -> Basis:
+    """SVD basis of every mode of the split's training set; the sweep's SVD
+    bases are its column prefixes."""
+    modes = cache.svd_modes.get(split_idx)
+    if modes is None:
+        train = _get_split(config, cache, split_idx)[0].train
+        modes = svd_basis(train, min(train.shape))
+        cache.svd_modes[split_idx] = modes
+    return modes
 
 
 def _get_basis(config, cache, split_idx, r) -> Basis:
@@ -254,12 +259,7 @@ def _get_basis(config, cache, split_idx, r) -> Basis:
     basis = cache.bases.get(key)
     if basis is None:
         if config.basis_kind == "svd":
-            U = _get_left_vectors(config, cache, split_idx)
-            if r > U.shape[1]:
-                raise ValueError(
-                    f"r = {r} exceeds the available {U.shape[1]} left singular vectors"
-                )
-            basis = Basis(_modes_from_left_vectors(U, r), "svd", r)
+            basis = truncate_basis(_get_svd_modes(config, cache, split_idx), r)
         else:
             basis = randomized_basis(
                 _get_split(config, cache, split_idx)[0].train,
@@ -281,26 +281,21 @@ def _get_pivot_order(config, cache, split_idx, r) -> np.ndarray:
 
 
 def _get_plan(config, cache, split_idx, cv_idx, r, p) -> SensorPlan:
-    pivots = _get_pivot_order(config, cache, split_idx, r)
-    if p <= pivots.size:
-        return SensorPlan(pivots[:p], "qr", r)
     basis = _get_basis(config, cache, split_idx, r)
-    if config.policy.oversample == "random":
-        seed = derive_seed(config.master_seed, _TAG_PLACEMENT, split_idx, cv_idx)
-        tail = _random_tail(basis.n, pivots, p - pivots.size, seed)
-        method = "qr+random-oversample"
-    else:
-        # The greedy is prefix-consistent, so one tail per (split, r) serves
-        # every p; a longer request recomputes it as a fresh cache would.
+    pivots = _get_pivot_order(config, cache, split_idx, r)
+    oversample = config.policy.oversample
+    if oversample == "odeim-e" and p > pivots.size:
+        # The greedy is prefix-consistent, so the longest plan of a
+        # (split, r) serves every p; a longer request recomputes it as a
+        # fresh cache would.
         key = (split_idx, config.basis_kind, r)
-        count = p - pivots.size
-        tail = cache.greedy_tails.get(key)
-        if tail is None or tail.size < count:
-            tail = kernels.sigma_min_tail(basis.psi, pivots, count)
-            cache.greedy_tails[key] = tail
-        tail = tail[:count]
-        method = "qr+odeim-e"
-    return SensorPlan(np.concatenate([pivots, tail]), method, r)
+        plan = cache.greedy_plans.get(key)
+        if plan is None or plan.p < p:
+            plan = plan_with_modes(basis, p, oversample, pivots=pivots)
+            cache.greedy_plans[key] = plan
+        return SensorPlan(plan.locations[:p], plan.method, r)
+    seed = derive_seed(config.master_seed, _TAG_PLACEMENT, split_idx, cv_idx)
+    return plan_with_modes(basis, p, oversample, seed, pivots)
 
 
 def _plan_varies_with_cv(config, r, p) -> bool:
@@ -401,10 +396,10 @@ def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
 
     The sweep runs in three stages with BLAS on one thread throughout:
 
-    1. every split, and for SVD bases its left singular vectors, on the
+    1. every split, and for SVD bases its SVD basis of every mode, on the
        calling thread;
     2. one task per (split, r): basis, CPQR pivots and, for odeim-e, the
-       greedy tail at the largest p of that r; largest r first;
+       plan at the largest p of that r; largest r first;
     3. one task per cell and plan: it opens the plan's solve memo, runs the
        cell's trials that share it in (cv, noise) order, writing each error
        by index, and drops the memo, so each Theta is factored once per
@@ -455,7 +450,7 @@ def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
         for s in splits:
             _get_split(config, cache, s)
             if config.basis_kind == "svd":
-                _get_left_vectors(config, cache, s)
+                _get_svd_modes(config, cache, s)
         workers = min(threads, os.cpu_count() or 1)
         if workers == 1:
             for stage in stages:

@@ -189,8 +189,3 @@ def random_orthonormal_columns(rows: int, cols: int, seed: int) -> np.ndarray:
     G = gaussian_matrix(rows, cols, seed)
     Q, R = np.linalg.qr(G)
     return Q * np.where(np.diag(R) < 0.0, -1.0, 1.0)
-
-
-def random_orthogonal(n: int, seed: int) -> np.ndarray:
-    """Seeded random n x n orthogonal matrix (see random_orthonormal_columns)."""
-    return random_orthonormal_columns(n, n, seed)

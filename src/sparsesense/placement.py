@@ -1,8 +1,11 @@
 """Sensor location selection and measurement.
 
-All strategies start from the column-pivoted QR of the transposed basis;
-oversampling appends extra rows either uniformly at random or by greedily
-maximizing the smallest singular value of the growing measurement matrix.
+Every plan is built by :func:`plan_with_modes`: the column-pivoted QR of the
+transposed basis gives the first sensors, and oversampling appends extra
+rows either uniformly at random or by greedily maximizing the smallest
+singular value of the growing measurement matrix. :func:`place` picks the
+number of modes from a policy first; :func:`oversample_random` and
+:func:`oversample_sigma_min` name the two oversamplers.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import numpy as np
 from . import kernels
 from .basis import Basis, truncate_basis
 from .linalg import as_matrix, cpqr
+
+OVERSAMPLERS = ("random", "odeim-e")
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,7 @@ class PlacementPolicy:
             raise ValueError("small_p_threshold must be >= 0")
         if self.oversample_factor < 1.0:
             raise ValueError("oversample_factor must be >= 1")
-        if self.oversample not in ("random", "odeim-e"):
+        if self.oversample not in OVERSAMPLERS:
             raise ValueError("oversample must be 'random' or 'odeim-e'")
 
     def modes_for(self, p: int) -> int:
@@ -91,12 +96,51 @@ def _random_tail(n: int, prefix: np.ndarray, count: int, seed: int) -> np.ndarra
     return rng.choice(np.nonzero(remaining)[0], size=count, replace=False)
 
 
+def plan_with_modes(
+    basis: Basis,
+    p: int,
+    oversample: str = "random",
+    seed: int | None = None,
+    pivots: np.ndarray | None = None,
+) -> SensorPlan:
+    """Place p sensors from every mode of the basis.
+
+    With p <= r the plan is the first p QR pivots of the mode matrix.
+    Otherwise it is all r pivots followed by p - r rows from the
+    oversampler: a uniform draw from the remaining rows under ``seed`` for
+    ``"random"``, the greedy sigma_min scan for ``"odeim-e"``.
+
+    ``pivots`` is the basis's first min(r, n) QR pivots, for a caller that
+    already has them; they are computed when omitted.
+    """
+    if oversample not in OVERSAMPLERS:
+        raise ValueError(f"oversample must be one of {OVERSAMPLERS}, got {oversample!r}")
+    if p > basis.n:
+        raise ValueError(f"p = {p} exceeds the state dimension n = {basis.n}")
+    if pivots is None:
+        pivots = qr_pivots(basis, min(p, basis.r)).locations
+    elif len(pivots) != min(basis.r, basis.n):
+        raise ValueError(
+            f"expected the basis's {min(basis.r, basis.n)} QR pivots, got {len(pivots)}"
+        )
+    if p <= len(pivots):
+        return SensorPlan(pivots[:p], "qr", basis.r)
+    count = p - len(pivots)
+    if oversample == "random":
+        if seed is None:
+            raise ValueError("random oversampling needs a seed")
+        tail = _random_tail(basis.n, pivots, count, seed)
+        method = "qr+random-oversample"
+    else:
+        tail = kernels.sigma_min_tail(basis.psi, pivots, count)
+        method = "qr+odeim-e"
+    return SensorPlan(np.concatenate([pivots, tail]), method, basis.r)
+
+
 def oversample_random(basis: Basis, p: int, seed: int) -> SensorPlan:
     """QR pivots for the first r sensors, the remaining p - r uniform at random."""
     _check_oversample(basis, p)
-    prefix = qr_pivots(basis, basis.r).locations
-    tail = _random_tail(basis.n, prefix, p - basis.r, seed)
-    return SensorPlan(np.concatenate([prefix, tail]), "qr+random-oversample", basis.r)
+    return plan_with_modes(basis, p, "random", seed)
 
 
 def oversample_sigma_min(basis: Basis, p: int) -> SensorPlan:
@@ -112,20 +156,12 @@ def oversample_sigma_min(basis: Basis, p: int) -> SensorPlan:
     draw.
     """
     _check_oversample(basis, p)
-    prefix = qr_pivots(basis, basis.r).locations
-    tail = kernels.sigma_min_tail(basis.psi, prefix, p - basis.r)
-    return SensorPlan(np.concatenate([prefix, tail]), "qr+odeim-e", basis.r)
-
-
-# Name used in the oversampling literature for the sigma_min-greedy variant.
-oversample_odeim_e = oversample_sigma_min
+    return plan_with_modes(basis, p, "odeim-e")
 
 
 def _check_oversample(basis: Basis, p: int) -> None:
     if p <= basis.r:
         raise ValueError(f"oversampling requires p > r, got p = {p}, r = {basis.r}")
-    if p > basis.n:
-        raise ValueError(f"p = {p} exceeds the state dimension n = {basis.n}")
 
 
 def place(
@@ -142,19 +178,9 @@ def place(
     pivots of the full mode matrix.
     """
     policy = policy or PlacementPolicy()
-    if p > basis.n:
-        raise ValueError(f"p = {p} exceeds the state dimension n = {basis.n}")
-    if basis.kind == "randomized" and basis.r > p:
-        return qr_pivots(basis, p)
-    r = min(policy.modes_for(p), basis.r)
-    working = truncate_basis(basis, r)
-    if p <= r:
-        return qr_pivots(working, p)
-    if policy.oversample == "random":
-        if seed is None:
-            raise ValueError("random oversampling needs a seed")
-        return oversample_random(working, p, seed)
-    return oversample_sigma_min(working, p)
+    if not (basis.kind == "randomized" and basis.r > p):
+        basis = truncate_basis(basis, min(policy.modes_for(p), basis.r))
+    return plan_with_modes(basis, p, policy.oversample, seed)
 
 
 def measure(X, plan: SensorPlan) -> np.ndarray:

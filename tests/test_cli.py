@@ -6,8 +6,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 from sparsesense import kernels
+from sparsesense.basis import randomized_basis, svd_basis
 from sparsesense.cli import main, parse_mf_csv, parse_sweep_csv
 from sparsesense.dataset import load_matrix
+from sparsesense.placement import oversample_random, oversample_sigma_min, qr_pivots
 
 
 def _run(*argv):
@@ -112,6 +114,46 @@ def test_place_does_not_depend_on_the_blas_thread_count(tmp_path, blas_preset, b
         assert _run("place", *args) == 0
         outputs.append((out / "sensors.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def _placed(out) -> list[int]:
+    lines = open(out / "sensors.csv").read().splitlines()
+    assert lines[0] == "rank,location"
+    return [int(ln.split(",")[1]) for ln in lines[1:]]
+
+
+@pytest.mark.parametrize("p", [5, 8, 14])
+@pytest.mark.parametrize("oversample", ["random", "odeim-e"])
+@pytest.mark.parametrize("basis", ["svd", "randomized"])
+def test_place_with_modes_is_the_library_plan_on_that_basis(tmp_path, basis, oversample, p):
+    data = _make_dataset(tmp_path)
+    out = tmp_path / "placed"
+    assert _run(
+        "place", "--data", data, "--p", str(p), "--modes", "8", "--basis", basis,
+        "--oversample", oversample, "--seed", "5", "--out-dir", str(out),
+    ) == 0
+    X = load_matrix(data).X
+    with kernels.single_blas_thread():
+        modes = svd_basis(X, 8) if basis == "svd" else randomized_basis(X, 8, 5)
+        if p <= 8:
+            want = qr_pivots(modes, p)
+        elif oversample == "random":
+            want = oversample_random(modes, p, 5)
+        else:
+            want = oversample_sigma_min(modes, p)
+    assert _placed(out) == want.locations.tolist()
+    manifest = open(out / "manifest.txt").read()
+    assert "modes=8" in manifest and f"method={want.method}" in manifest
+
+
+def test_place_with_modes_pinned_locations(tmp_path):
+    data = _make_dataset(tmp_path)
+    out = tmp_path / "placed"
+    assert _run(
+        "place", "--data", data, "--p", "14", "--modes", "8",
+        "--oversample", "odeim-e", "--seed", "5", "--out-dir", str(out),
+    ) == 0
+    assert _placed(out) == [26, 2, 34, 13, 22, 29, 17, 10, 28, 14, 32, 38, 39, 27]
 
 
 # ---------------------------------------------------------------------------

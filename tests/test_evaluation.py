@@ -23,7 +23,13 @@ from sparsesense.evaluation import (
     sweep_modes_sensors,
 )
 from sparsesense.multifidelity import Composition, budget_from_endpoints
-from sparsesense.placement import PlacementPolicy, SensorPlan, qr_pivots
+from sparsesense.placement import (
+    PlacementPolicy,
+    SensorPlan,
+    oversample_random,
+    oversample_sigma_min,
+    qr_pivots,
+)
 from sparsesense.seeding import derive_seed
 
 
@@ -692,6 +698,33 @@ def test_odeim_sweep_builds_each_plan_once(monkeypatch):
     # Preparing each (split, r) also builds the longest plan once, to fill
     # the greedy tail.
     assert counts["_get_plan"] == groups + 2 * config.n_splits
+
+
+@pytest.mark.parametrize("oversample", ["random", "odeim-e"])
+@pytest.mark.parametrize("basis_kind", ["svd", "randomized"])
+def test_sweep_plans_are_the_library_plans_on_the_cached_basis(basis_kind, oversample):
+    config = _noisy_config(basis_kind=basis_kind, policy=PlacementPolicy(oversample=oversample))
+    cache = evaluation._SweepCache()
+    r = 6
+    for s in range(config.n_splits):
+        basis = evaluation._get_basis(config, cache, s, r)
+        if basis_kind == "svd":
+            train = evaluation._get_split(config, cache, s)[0].train
+            assert np.array_equal(basis.psi, svd_basis(train, r).psi)
+        # QR-only below and at r, then two oversampled p sharing r: the
+        # shorter first, the longer, and the shorter again from the longer.
+        for p in (4, 6, 9, 15, 9):
+            for cv in range(config.n_placement_cv):
+                got = evaluation._get_plan(config, cache, s, cv, r, p)
+                if p <= r:
+                    want = qr_pivots(basis, p)
+                elif oversample == "random":
+                    seed = derive_seed(config.master_seed, evaluation._TAG_PLACEMENT, s, cv)
+                    want = oversample_random(basis, p, seed)
+                else:
+                    want = oversample_sigma_min(basis, p)
+                assert got.locations.tolist() == want.locations.tolist()
+                assert (got.method, got.r_used) == (want.method, want.r_used)
 
 
 def test_split_cache_keeps_a_row_major_test_matrix():

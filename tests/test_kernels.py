@@ -1,6 +1,6 @@
-"""Kernel contracts: the njit and numpy CPQR twins select identical pivots,
-and the secular-equation sigma_min scan picks exactly the rows of an
-exhaustive stacked-eigvalsh scan."""
+"""Kernel contracts: the secular-equation sigma_min scan picks exactly the
+rows of an exhaustive stacked-eigvalsh scan, the backend stand-ins report
+the numpy path, and the BLAS thread pin nests and restores."""
 
 import sys
 import threading
@@ -9,49 +9,6 @@ import numpy as np
 import pytest
 
 from sparsesense import kernels
-
-needs_numba = pytest.mark.skipif(
-    not kernels.NUMBA_AVAILABLE, reason="numba not installed"
-)
-
-
-def _both_cpqr(V, k, want_q=False):
-    W1 = np.array(V, dtype=np.float64, order="C")
-    W2 = W1.copy()
-    r = W1.shape[0]
-    Q1 = np.eye(r) if want_q else np.eye(1)
-    Q2 = Q1.copy()
-    perm_nb, diag_nb = kernels._cpqr_numba(W1, k, Q1, want_q)
-    perm_np, diag_np = kernels._cpqr_numpy(W2, k, Q2, want_q)
-    return (perm_nb, diag_nb, W1, Q1), (perm_np, diag_np, W2, Q2)
-
-
-@needs_numba
-@pytest.mark.parametrize("seed", range(8))
-def test_cpqr_paths_agree_on_random_input(seed):
-    rng = np.random.default_rng(seed)
-    r = int(rng.integers(2, 16))
-    n = int(rng.integers(r, 40))
-    V = rng.standard_normal((r, n))
-    k = int(rng.integers(1, r + 1))
-    (perm_nb, diag_nb, W_nb, _), (perm_np, diag_np, W_np, _) = _both_cpqr(V, k)
-    np.testing.assert_array_equal(perm_nb, perm_np)
-    np.testing.assert_allclose(diag_nb, diag_np, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(W_nb, W_np, rtol=1e-10, atol=1e-12)
-
-
-@needs_numba
-def test_cpqr_paths_agree_on_exact_ties():
-    (perm_nb, _, _, _), (perm_np, _, _, _) = _both_cpqr(np.eye(5), 5)
-    assert perm_nb.tolist() == perm_np.tolist() == [0, 1, 2, 3, 4]
-
-
-@needs_numba
-def test_cpqr_paths_agree_with_q():
-    rng = np.random.default_rng(404)
-    V = rng.standard_normal((6, 12))
-    (_, _, _, Q_nb), (_, _, _, Q_np) = _both_cpqr(V, 6, want_q=True)
-    np.testing.assert_allclose(Q_nb, Q_np, rtol=1e-10, atol=1e-12)
 
 
 def _exhaustive_tail(psi, prefix, count):
@@ -135,8 +92,8 @@ def test_sigma_min_tail_low_index_tie_break():
 
 
 def test_backend_reporting():
-    assert kernels.backend_name() in ("numba", "numpy")
-    assert kernels.using_numba() == (kernels.backend_name() == "numba")
+    assert kernels.backend_name() == "numpy"
+    assert kernels.NUMBA_AVAILABLE is False
 
 
 def test_warmup_is_idempotent():

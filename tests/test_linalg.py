@@ -11,7 +11,6 @@ from sparsesense.linalg import (
     cpqr_factors,
     gaussian_matrix,
     lstsq_minnorm,
-    random_orthogonal,
     random_orthonormal_columns,
     svd,
 )
@@ -388,13 +387,16 @@ def test_gaussian_matrix_rejects_bad_shape():
 
 
 def test_random_orthogonal_contract():
+    # A square draw of random_orthonormal_columns is an orthogonal matrix.
     for n in (1, 3, 8):
-        Q = random_orthogonal(n, seed=5)
+        Q = random_orthonormal_columns(n, n, seed=5)
         assert np.linalg.norm(Q.T @ Q - np.eye(n)) <= 1e-10
-    np.testing.assert_array_equal(random_orthogonal(4, 9), random_orthogonal(4, 9))
+    np.testing.assert_array_equal(
+        random_orthonormal_columns(4, 4, 9), random_orthonormal_columns(4, 4, 9)
+    )
     # 1x1 orthogonal group is {+1, -1}; the sign is fixed by the draw once
     # the triangular factor's diagonal is forced positive.
-    assert random_orthogonal(1, seed=3)[0, 0] in (1.0, -1.0)
+    assert random_orthonormal_columns(1, 1, seed=3)[0, 0] in (1.0, -1.0)
 
 
 def test_random_orthonormal_columns_shape_and_orthogonality():

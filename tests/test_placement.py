@@ -12,6 +12,7 @@ from sparsesense.placement import (
     oversample_random,
     oversample_sigma_min,
     place,
+    plan_with_modes,
     qr_pivots,
 )
 
@@ -174,6 +175,66 @@ def test_sigma_min_beats_random_oversampling_in_most_trials():
         s_random = _sigma_min(basis.psi[random_plan.locations])
         wins += s_greedy >= s_random
     assert wins >= 0.8 * trials
+
+
+# ---------------------------------------------------------------------------
+# plan_with_modes (every plan's one builder)
+# ---------------------------------------------------------------------------
+
+
+def _modes_basis(kind="svd"):
+    X = np.random.default_rng(19).standard_normal((30, 20))
+    return svd_basis(X, 6) if kind == "svd" else randomized_basis(X, 6, seed=8)
+
+
+@pytest.mark.parametrize("kind", ["svd", "randomized"])
+def test_plan_with_modes_is_qr_then_oversampler(kind):
+    basis = _modes_basis(kind)
+    pivots = qr_pivots(basis, 6).locations
+    for p in (1, 4, 6):
+        plan = plan_with_modes(basis, p, seed=0)
+        assert (plan.method, plan.r_used) == ("qr", 6)
+        assert plan.locations.tolist() == pivots[:p].tolist()
+    rand = plan_with_modes(basis, 13, "random", seed=2)
+    assert rand.method == "qr+random-oversample"
+    assert rand.locations.tolist() == oversample_random(basis, 13, 2).locations.tolist()
+    greedy = plan_with_modes(basis, 13, "odeim-e")
+    assert greedy.method == "qr+odeim-e"
+    assert greedy.locations.tolist() == oversample_sigma_min(basis, 13).locations.tolist()
+    for plan in (rand, greedy):
+        assert plan.locations[:6].tolist() == pivots.tolist()
+
+
+@pytest.mark.parametrize("oversample", ["random", "odeim-e"])
+def test_plan_with_modes_takes_cached_pivots(oversample):
+    basis = _modes_basis()
+    pivots = qr_pivots(basis, 6).locations
+    for p in (3, 6, 11):
+        fresh = plan_with_modes(basis, p, oversample, seed=5)
+        cached = plan_with_modes(basis, p, oversample, seed=5, pivots=pivots)
+        assert cached.locations.tolist() == fresh.locations.tolist()
+        assert (cached.method, cached.r_used) == (fresh.method, fresh.r_used)
+
+
+def test_plan_with_modes_randomized_basis_wider_than_n():
+    X = np.random.default_rng(20).standard_normal((8, 12))
+    basis = randomized_basis(X, 10, seed=3)
+    pivots = qr_pivots(basis, 8).locations
+    plan = plan_with_modes(basis, 8, pivots=pivots)
+    assert sorted(plan.locations.tolist()) == list(range(8))
+    assert (plan.method, plan.r_used) == ("qr", 10)
+
+
+def test_plan_with_modes_rejects_bad_requests():
+    basis = _modes_basis()
+    with pytest.raises(ValueError, match="exceeds the state dimension"):
+        plan_with_modes(basis, 31, seed=0)
+    with pytest.raises(ValueError, match="needs a seed"):
+        plan_with_modes(basis, 7)
+    with pytest.raises(ValueError, match="oversample"):
+        plan_with_modes(basis, 7, "uniform", seed=0)
+    with pytest.raises(ValueError, match="QR pivots"):
+        plan_with_modes(basis, 7, seed=0, pivots=qr_pivots(basis, 5).locations)
 
 
 # ---------------------------------------------------------------------------
