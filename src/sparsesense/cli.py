@@ -1,29 +1,43 @@
 """Command-line front end.
 
 Subcommands: synth, place, sweep, mf, report. Shared flags: --seed,
---threads, --out-dir, --config. Option precedence is flags > config file >
-environment (SPARSESENSE_SEED for the master seed) > built-in defaults; the
-config file is a flat key=value text file whose keys mirror the long flag
-names.
+--threads, --out-dir, --config.
+
+Every long option is declared once, in ``OPTIONS``: its flag, how its text
+converts, its default, whether it is required, its allowed choices and
+whether the manifest records it. The parser, the config-file rules, the
+defaults and each manifest's ``arg.`` lines all come from that table.
+Protocol defaults are the library's own (``ExperimentConfig``,
+``PlacementPolicy``), never restated here.
+
+Option precedence is flags > config file > environment (SPARSESENSE_SEED for
+the master seed) > built-in defaults. The config file is a flat key=value
+text file whose keys are the long flag names; text from a flag and from the
+file goes through the same conversion and choice check. A key that no
+subcommand declares, a line without '=', or a bad value is a usage error,
+so one file can drive several subcommands but cannot misspell a key.
 
 Exit codes: 0 success, 64 usage error, 65 bad or inconsistent input data,
 2 I/O failure. All outputs are written atomically (temp file + rename) and
-every run leaves a manifest listing its arguments and output digests.
+every run leaves a manifest listing its arguments, the BLAS it ran on and
+its output digests.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from hashlib import sha256
+from typing import Any, Callable
 
 from . import __version__, kernels
-from .basis import randomized_basis, svd_basis
+from .basis import BASIS_KINDS, randomized_basis, svd_basis
 from .dataset import (
-    Dataset,
     MatrixFormatError,
     SpectrumSpec,
     load_matrix,
@@ -36,8 +50,8 @@ from .evaluation import (
     mf_sweep,
     sweep_modes_sensors,
 )
-from .multifidelity import budget_from_endpoints
-from .placement import PlacementPolicy, plan_with_modes
+from .multifidelity import ASSIGNMENTS, budget_from_endpoints
+from .placement import OVERSAMPLERS, PlacementPolicy, plan_with_modes
 from .svg import line_chart
 
 _REGIME_TINTS = {
@@ -48,6 +62,7 @@ _REGIME_TINTS = {
 }
 
 _TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
 
 
 class _UsageError(Exception):
@@ -60,70 +75,177 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# Option resolution
+# Option table
 # ---------------------------------------------------------------------------
 
 
+def _parse_bool(text: str) -> bool:
+    word = text.strip().lower()
+    if word not in _TRUE_WORDS + _FALSE_WORDS:
+        raise ValueError(word)
+    return word in _TRUE_WORDS
+
+
+def _parse_grid(text: str) -> list[int]:
+    values = [int(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError("empty grid")
+    return values
+
+
+def _parse_threads(text: str) -> int:
+    threads = int(text)
+    if threads < 1:
+        raise _UsageError(f"--threads must be >= 1, got {threads}")
+    return threads
+
+
+def _library_default(owner, name: str):
+    """The default the library gives keyword ``name`` of ``owner``."""
+    return inspect.signature(owner).parameters[name].default
+
+
+def _protocol(name: str):
+    """The protocol default of ``ExperimentConfig.<name>``."""
+    return _library_default(ExperimentConfig, name)
+
+
+@dataclass(frozen=True)
+class Option:
+    """One long option, ``--flag``.
+
+    ``conv`` turns its text, from the command line or a config file, into a
+    value; a ``ValueError`` there, or a value outside ``choices``, is a usage
+    error. ``default`` is a value, or a function of the options declared
+    before it. ``record`` writes the value to the manifest as
+    ``arg.<flag>``. ``env`` names an environment variable read when neither
+    the flag nor the config file sets it. An option converted by
+    ``_parse_bool`` takes no value on the command line.
+    """
+
+    flag: str
+    conv: Callable[[str], Any] = str
+    default: Any = None
+    required: bool = False
+    choices: tuple[str, ...] = ()
+    record: bool = True
+    env: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag.replace("-", "_")
+
+
+_SHARED = (
+    Option("seed", int, _protocol("master_seed"), record=False, env="SPARSESENSE_SEED"),
+    Option(
+        "threads", _parse_threads, _library_default(sweep_modes_sensors, "threads"), record=False
+    ),
+    Option("out-dir", default=".", record=False),
+    Option("config", record=False),
+)
+_DATA = Option("data", required=True)
+_BASIS = Option("basis", default=_protocol("basis_kind"), choices=BASIS_KINDS)
+_OVERSAMPLE = Option(
+    "oversample", default=_library_default(PlacementPolicy, "oversample"), choices=OVERSAMPLERS
+)
+# The protocol options that sweep and mf share, in ``_experiment`` below.
+_PROTOCOL = (
+    _BASIS,
+    _OVERSAMPLE,
+    Option("train-fraction", float, _protocol("train_fraction")),
+    Option("splits", int, _protocol("n_splits")),
+    Option("cv", int, _protocol("n_placement_cv")),
+    Option("noise-draws", int, _protocol("n_noise")),
+    Option("svg", _parse_bool, False, record=False),
+)
+
+OPTIONS: dict[str, tuple[Option, ...]] = {
+    "synth": _SHARED
+    + (
+        Option("a", float, required=True),
+        Option("b", float, required=True),
+        Option("n", int, required=True),
+        Option("m", int, required=True),
+        Option("n-sv", int, lambda o: min(o.n, o.m)),
+        Option("format", default=_library_default(save_matrix, "fmt"), choices=("binary", "csv")),
+        Option("out", required=True),
+    ),
+    "place": _SHARED
+    + (
+        _DATA,
+        Option("p", int, required=True),
+        _BASIS,
+        # The manifest records the mode count the plan used instead.
+        Option("modes", int, record=False),
+        _OVERSAMPLE,
+    ),
+    "sweep": _SHARED
+    + (
+        _DATA,
+        Option("r-grid", _parse_grid, required=True),
+        Option("p-grid", _parse_grid, required=True),
+        Option("noise-level", float, _protocol("level_cheap")),
+    )
+    + _PROTOCOL,
+    "mf": _SHARED
+    + (
+        _DATA,
+        Option("p-cheap-max", int, required=True),
+        Option("p-exp-max", int, required=True),
+        Option("cost-cheap", float, 1.0),
+        Option("level-cheap", float, _protocol("level_cheap")),
+        Option("level-exp", float, _protocol("level_exp")),
+        Option("steps", int, _protocol("composition_steps")),
+        Option("assignment", default=_protocol("assignment"), choices=ASSIGNMENTS),
+        Option("band", float, _library_default(classify_composition_sweep, "band")),
+    )
+    + _PROTOCOL
+    + (Option("tag-b"), Option("tag-noise"), Option("tag-counts")),
+    "report": _SHARED,
+}
+
+
 def _load_config_file(path: str) -> dict[str, str]:
+    known = {opt.flag for options in OPTIONS.values() for opt in options}
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key, eq, value = line.partition("=")
+            key = key.strip()
+            if not eq:
+                raise _UsageError(f"{path}: line {lineno}: expected key=value")
+            if key not in known:
+                raise _UsageError(f"{path}: line {lineno}: unknown key {key!r}")
+            out[key] = value.strip()
     return out
 
 
-def _parse_bool(text: str) -> bool:
-    return text.strip().lower() in _TRUE_WORDS
-
-
-def _parse_grid(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise _UsageError(f"grid must be a comma list of integers, got {text!r}")
-    if not values:
-        raise _UsageError(f"empty grid {text!r}")
-    return values
-
-
-def _get(args, cfg, key, default=None, conv=None, env=None, required=False):
-    """Resolve one option: flag, then config file, then environment, then default."""
-    value = getattr(args, key, None)
-    if value is None:
-        flag = key.replace("_", "-")
-        if flag in cfg:
-            value = cfg[flag]
-        elif env is not None and env in os.environ:
-            value = os.environ[env]
+def _resolve(args: argparse.Namespace, cfg: dict[str, str]) -> argparse.Namespace:
+    """Replace each option's flag text in ``args`` by its value: the flag,
+    then the config file, then the environment, then the default."""
+    for opt in OPTIONS[args.command]:
+        text = getattr(args, opt.dest)
+        if text is None:
+            text = cfg.get(opt.flag, os.environ.get(opt.env) if opt.env else None)
+        if text is None:
+            if opt.required:
+                raise _UsageError(f"missing required option --{opt.flag}")
+            value = opt.default(args) if callable(opt.default) else opt.default
         else:
-            value = default
-    if value is None:
-        if required:
-            raise _UsageError(f"missing required option --{key.replace('_', '-')}")
-        return None
-    if conv is not None and isinstance(value, str):
-        try:
-            value = conv(value)
-        except ValueError:
-            raise _UsageError(f"bad value for --{key.replace('_', '-')}: {value!r}")
-    return value
-
-
-def _seed_of(args, cfg) -> int:
-    return _get(args, cfg, "seed", default=0, conv=int, env="SPARSESENSE_SEED")
-
-
-def _threads_of(args, cfg) -> int:
-    threads = _get(args, cfg, "threads", default=1, conv=int)
-    if threads < 1:
-        raise _UsageError(f"--threads must be >= 1, got {threads}")
-    return threads
+            try:
+                value = opt.conv(text)
+            except ValueError:
+                raise _UsageError(f"bad value for --{opt.flag}: {text!r}") from None
+            if opt.choices and value not in opt.choices:
+                raise _UsageError(
+                    f"bad value for --{opt.flag}: {text!r} (choose from {', '.join(opt.choices)})"
+                )
+        setattr(args, opt.dest, value)
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -132,30 +254,20 @@ def _threads_of(args, cfg) -> int:
 
 
 def _write_atomic(path: str, payload) -> None:
-    data = payload.encode("utf-8") if isinstance(payload, str) else payload
-    target = os.path.abspath(path)
-    directory = os.path.dirname(target)
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sparsesense-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.chmod(tmp, 0o644)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _save_matrix_atomic(ds: Dataset, path: str, fmt: str) -> None:
+    """Write ``payload`` to a temp file beside ``path``, then rename it over
+    ``path``. A str is written as UTF-8; anything else is called with the
+    temp file's path and writes it."""
     target = os.path.abspath(path)
     directory = os.path.dirname(target)
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sparsesense-")
     os.close(fd)
     try:
-        save_matrix(ds, tmp, fmt)
+        if isinstance(payload, str):
+            with open(tmp, "wb") as fh:
+                fh.write(payload.encode("utf-8"))
+        else:
+            payload(tmp)
         os.chmod(tmp, 0o644)
         os.replace(tmp, target)
     except BaseException:
@@ -176,18 +288,32 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _write_manifest(
-    path, command, seed, arg_items, outputs, started, finished, run_items=()
-):
+def _show(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+def _write_manifest(path, o, outputs, started, derived=None) -> None:
+    """Record the run: the BLAS, every recorded option that has a value, the
+    ``derived`` items, and each output's digest."""
+    items = {
+        opt.flag: getattr(o, opt.dest)
+        for opt in OPTIONS[o.command]
+        if opt.record and getattr(o, opt.dest) is not None
+    }
+    items.update(derived or {})
     lines = [
         f"tool=sparsesense {__version__}",
-        f"command={command}",
-        f"master-seed={seed}",
+        f"command={o.command}",
+        f"master-seed={o.seed}",
         f"started={started}",
-        f"finished={finished}",
+        f"finished={_utcnow()}",
     ]
-    lines += [f"{key}={value}" for key, value in run_items]
-    lines += [f"arg.{key}={value}" for key, value in sorted(arg_items)]
+    lines += [f"{key}={value}" for key, value in kernels.blas_record().items()]
+    lines += [f"arg.{key}={_show(value)}" for key, value in sorted(items.items())]
     lines += [
         f"file.{os.path.basename(p)}=sha256:{_digest_file(p)}" for p in sorted(outputs)
     ]
@@ -285,289 +411,152 @@ def parse_mf_csv(text: str, path: str = "<mf csv>"):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_synth(args, cfg) -> int:
-    amplitude = _get(args, cfg, "a", conv=float, required=True)
-    exponent = _get(args, cfg, "b", conv=float, required=True)
-    n = _get(args, cfg, "n", conv=int, required=True)
-    m = _get(args, cfg, "m", conv=int, required=True)
-    n_sv = _get(args, cfg, "n_sv", conv=int, default=min(n, m))
-    fmt = _get(args, cfg, "format", default="binary")
-    out = _get(args, cfg, "out", required=True)
-    seed = _seed_of(args, cfg)
-
+def _cmd_synth(o) -> int:
     started = _utcnow()
-    ds = synthesize(SpectrumSpec(amplitude, exponent, n_sv), n, m, seed)
-    _save_matrix_atomic(ds, out, fmt)
+    ds = synthesize(SpectrumSpec(o.a, o.b, o.n_sv), o.n, o.m, o.seed)
+    _write_atomic(o.out, lambda tmp: save_matrix(ds, tmp, o.format))
     meta = "\n".join(
         [
             "kind=synthetic",
-            f"a={amplitude:.17g}",
-            f"b={exponent:.17g}",
-            f"n-sv={n_sv}",
-            f"n={n}",
-            f"m={m}",
-            f"seed={seed}",
-            f"format={fmt}",
+            f"a={o.a:.17g}",
+            f"b={o.b:.17g}",
+            f"n-sv={o.n_sv}",
+            f"n={o.n}",
+            f"m={o.m}",
+            f"seed={o.seed}",
+            f"format={o.format}",
         ]
     )
-    _write_atomic(out + ".meta", meta + "\n")
-    finished = _utcnow()
-    _write_manifest(
-        out + ".manifest",
-        "synth",
-        seed,
-        [
-            ("a", f"{amplitude:.17g}"),
-            ("b", f"{exponent:.17g}"),
-            ("n", n),
-            ("m", m),
-            ("n-sv", n_sv),
-            ("format", fmt),
-            ("out", out),
-        ],
-        [out, out + ".meta"],
-        started,
-        finished,
-    )
+    _write_atomic(o.out + ".meta", meta + "\n")
+    _write_manifest(o.out + ".manifest", o, [o.out, o.out + ".meta"], started)
     return 0
 
 
-def _cmd_place(args, cfg) -> int:
-    data = _get(args, cfg, "data", required=True)
-    p = _get(args, cfg, "p", conv=int, required=True)
-    basis_kind = _get(args, cfg, "basis", default="svd")
-    modes = _get(args, cfg, "modes", conv=int)
-    oversample = _get(args, cfg, "oversample", default="random")
-    out_dir = _get(args, cfg, "out_dir", default=".")
-    seed = _seed_of(args, cfg)
-
+def _cmd_place(o) -> int:
     started = _utcnow()
-    ds = load_matrix(data)
-    policy = PlacementPolicy(oversample=oversample)
-    cap = min(ds.n, ds.m)
-    r = modes if modes is not None else min(policy.modes_for(p), cap)
+    ds = load_matrix(o.data)
+    r = o.modes if o.modes is not None else min(PlacementPolicy().modes_for(o.p), ds.n, ds.m)
     # One BLAS thread, as in sweeps, so the sensors do not depend on the
     # machine's core count.
     with kernels.single_blas_thread():
-        if basis_kind == "svd":
+        if o.basis == "svd":
             basis = svd_basis(ds.X, r)
-        elif basis_kind == "randomized":
-            basis = randomized_basis(ds.X, r, seed)
         else:
-            raise _UsageError(f"unknown basis {basis_kind!r}")
-        plan = plan_with_modes(basis, p, oversample, seed)
+            basis = randomized_basis(ds.X, r, o.seed)
+        plan = plan_with_modes(basis, o.p, o.oversample, o.seed)
 
     lines = ["rank,location"]
     lines += [f"{i},{loc}" for i, loc in enumerate(plan.locations)]
-    out_csv = os.path.join(out_dir, "sensors.csv")
+    out_csv = os.path.join(o.out_dir, "sensors.csv")
     _write_atomic(out_csv, "\n".join(lines) + "\n")
-    finished = _utcnow()
     _write_manifest(
-        os.path.join(out_dir, "manifest.txt"),
-        "place",
-        seed,
-        [
-            ("data", data),
-            ("p", p),
-            ("basis", basis_kind),
-            ("modes", plan.r_used),
-            ("method", plan.method),
-            ("oversample", oversample),
-        ],
+        os.path.join(o.out_dir, "manifest.txt"),
+        o,
         [out_csv],
         started,
-        finished,
+        {"modes": plan.r_used, "method": plan.method},
     )
     return 0
 
 
-def _experiment_counts(args, cfg):
-    return (
-        _get(args, cfg, "splits", conv=int, default=20),
-        _get(args, cfg, "cv", conv=int, default=20),
-        _get(args, cfg, "noise_draws", conv=int, default=10),
+def _experiment(o, dataset, **settings) -> ExperimentConfig:
+    """The sweep/mf protocol from the ``_PROTOCOL`` options plus ``settings``."""
+    return ExperimentConfig(
+        dataset=dataset,
+        basis_kind=o.basis,
+        policy=PlacementPolicy(oversample=o.oversample),
+        train_fraction=o.train_fraction,
+        n_splits=o.splits,
+        n_placement_cv=o.cv,
+        n_noise=o.noise_draws,
+        master_seed=o.seed,
+        **settings,
     )
 
 
-def _cmd_sweep(args, cfg) -> int:
-    data = _get(args, cfg, "data", required=True)
-    r_grid = _parse_grid(_get(args, cfg, "r_grid", required=True))
-    p_grid = _parse_grid(_get(args, cfg, "p_grid", required=True))
-    basis_kind = _get(args, cfg, "basis", default="svd")
-    noise_level = _get(args, cfg, "noise_level", conv=float, default=0.02)
-    oversample = _get(args, cfg, "oversample", default="random")
-    train_fraction = _get(args, cfg, "train_fraction", conv=float, default=0.8)
-    n_splits, n_cv, n_noise = _experiment_counts(args, cfg)
-    want_svg = _get(args, cfg, "svg", conv=_parse_bool, default=False)
-    out_dir = _get(args, cfg, "out_dir", default=".")
-    threads = _threads_of(args, cfg)
-    seed = _seed_of(args, cfg)
+def _write_results(o, table: str, chart, started, derived) -> None:
+    """Write ``<command>.csv``, ``<command>.svg`` from ``chart()`` under
+    --svg, and the manifest, all in --out-dir."""
+    outputs = [os.path.join(o.out_dir, f"{o.command}.csv")]
+    _write_atomic(outputs[0], table)
+    if o.svg:
+        outputs.append(os.path.join(o.out_dir, f"{o.command}.svg"))
+        _write_atomic(outputs[1], chart())
+    _write_manifest(os.path.join(o.out_dir, "manifest.txt"), o, outputs, started, derived)
 
+
+def _cmd_sweep(o) -> int:
     started = _utcnow()
-    ds = load_matrix(data)
-    config = ExperimentConfig(
-        dataset=ds,
-        basis_kind=basis_kind,
-        policy=PlacementPolicy(oversample=oversample),
-        level_cheap=noise_level,
-        level_exp=noise_level,
-        train_fraction=train_fraction,
-        n_splits=n_splits,
-        n_placement_cv=n_cv,
-        n_noise=n_noise,
-        master_seed=seed,
+    config = _experiment(
+        o, load_matrix(o.data), level_cheap=o.noise_level, level_exp=o.noise_level
     )
-    results = sweep_modes_sensors(config, r_grid, p_grid, threads=threads)
+    results = sweep_modes_sensors(config, o.r_grid, o.p_grid, threads=o.threads)
 
-    out_csv = os.path.join(out_dir, "sweep.csv")
-    _write_atomic(out_csv, format_sweep_csv(results, basis_kind))
-    outputs = [out_csv]
-    if want_svg:
+    def chart():
         series = []
-        for r in r_grid:
+        for r in o.r_grid:
             cells = [res for res in results if res.r == r]
             series.append((f"r={r}", [c.p for c in cells], [c.mean_error for c in cells]))
-        out_svg = os.path.join(out_dir, "sweep.svg")
-        _write_atomic(
-            out_svg,
-            line_chart(
-                series,
-                title=f"reconstruction error ({basis_kind} basis)",
-                x_label="sensors p",
-                y_label="fractional error",
-            ),
+        return line_chart(
+            series,
+            title=f"reconstruction error ({o.basis} basis)",
+            x_label="sensors p",
+            y_label="fractional error",
         )
-        outputs.append(out_svg)
-    finished = _utcnow()
-    _write_manifest(
-        os.path.join(out_dir, "manifest.txt"),
-        "sweep",
-        seed,
-        [
-            ("data", data),
-            ("r-grid", ",".join(map(str, r_grid))),
-            ("p-grid", ",".join(map(str, p_grid))),
-            ("basis", basis_kind),
-            ("noise-level", f"{noise_level:.17g}"),
-            ("oversample", oversample),
-            ("train-fraction", f"{train_fraction:.17g}"),
-            ("splits", n_splits),
-            ("cv", n_cv),
-            ("noise-draws", n_noise),
-            ("config-digest", config.digest()),
-        ],
-        outputs,
-        started,
-        finished,
-        kernels.blas_record().items(),
+
+    _write_results(
+        o, format_sweep_csv(results, o.basis), chart, started, {"config-digest": config.digest()}
     )
     return 0
 
 
-def _cmd_mf(args, cfg) -> int:
-    data = _get(args, cfg, "data", required=True)
-    p_cheap_max = _get(args, cfg, "p_cheap_max", conv=int, required=True)
-    p_exp_max = _get(args, cfg, "p_exp_max", conv=int, required=True)
-    cost_cheap = _get(args, cfg, "cost_cheap", conv=float, default=1.0)
-    level_cheap = _get(args, cfg, "level_cheap", conv=float, default=0.02)
-    level_exp = _get(args, cfg, "level_exp", conv=float, default=0.01)
-    steps = _get(args, cfg, "steps", conv=int, default=11)
-    assignment = _get(args, cfg, "assignment", default="exp-first")
-    band = _get(args, cfg, "band", conv=float, default=0.02)
-    basis_kind = _get(args, cfg, "basis", default="svd")
-    oversample = _get(args, cfg, "oversample", default="random")
-    train_fraction = _get(args, cfg, "train_fraction", conv=float, default=0.8)
-    n_splits, n_cv, n_noise = _experiment_counts(args, cfg)
-    want_svg = _get(args, cfg, "svg", conv=_parse_bool, default=False)
-    out_dir = _get(args, cfg, "out_dir", default=".")
-    threads = _threads_of(args, cfg)
-    seed = _seed_of(args, cfg)
-    tags = {}
-    for tag_key, cli_key in (("b", "tag_b"), ("noise", "tag_noise"), ("counts", "tag_counts")):
-        value = _get(args, cfg, cli_key)
-        if value is not None:
-            tags[tag_key] = str(value)
-
+def _cmd_mf(o) -> int:
     started = _utcnow()
-    ds = load_matrix(data)
-    budget = budget_from_endpoints(p_cheap_max, p_exp_max, cost_cheap)
-    config = ExperimentConfig(
-        dataset=ds,
-        basis_kind=basis_kind,
-        policy=PlacementPolicy(oversample=oversample),
-        level_cheap=level_cheap,
-        level_exp=level_exp,
-        assignment=assignment,
-        budget=budget,
-        composition_steps=steps,
-        train_fraction=train_fraction,
-        n_splits=n_splits,
-        n_placement_cv=n_cv,
-        n_noise=n_noise,
-        master_seed=seed,
+    config = _experiment(
+        o,
+        load_matrix(o.data),
+        level_cheap=o.level_cheap,
+        level_exp=o.level_exp,
+        assignment=o.assignment,
+        budget=budget_from_endpoints(o.p_cheap_max, o.p_exp_max, o.cost_cheap),
+        composition_steps=o.steps,
     )
-    results = mf_sweep(config, threads=threads)
-    regime = classify_composition_sweep([res.mean_error for res in results], band)
+    results = mf_sweep(config, threads=o.threads)
+    regime = classify_composition_sweep([res.mean_error for res in results], o.band)
+    tags = {
+        opt.flag.removeprefix("tag-"): getattr(o, opt.dest)
+        for opt in OPTIONS["mf"]
+        if opt.flag.startswith("tag-") and getattr(o, opt.dest) is not None
+    }
 
-    out_csv = os.path.join(out_dir, "mf.csv")
-    _write_atomic(out_csv, format_mf_csv(results, regime, tags))
-    outputs = [out_csv]
-    if want_svg:
-        xs = list(range(len(results)))
-        ys = [res.mean_error for res in results]
-        out_svg = os.path.join(out_dir, "mf.svg")
-        _write_atomic(
-            out_svg,
-            line_chart(
-                [("error", xs, ys)],
-                title=f"composition sweep ({regime})",
-                x_label="all cheap to all expensive",
-                y_label="fractional error",
-                background=_REGIME_TINTS[regime],
-                x_end_labels=("C", "E"),
-            ),
+    def chart():
+        return line_chart(
+            [("error", list(range(len(results))), [res.mean_error for res in results])],
+            title=f"composition sweep ({regime})",
+            x_label="all cheap to all expensive",
+            y_label="fractional error",
+            background=_REGIME_TINTS[regime],
+            x_end_labels=("C", "E"),
         )
-        outputs.append(out_svg)
-    finished = _utcnow()
-    _write_manifest(
-        os.path.join(out_dir, "manifest.txt"),
-        "mf",
-        seed,
-        [
-            ("data", data),
-            ("p-cheap-max", p_cheap_max),
-            ("p-exp-max", p_exp_max),
-            ("cost-cheap", f"{cost_cheap:.17g}"),
-            ("level-cheap", f"{level_cheap:.17g}"),
-            ("level-exp", f"{level_exp:.17g}"),
-            ("steps", steps),
-            ("assignment", assignment),
-            ("band", f"{band:.17g}"),
-            ("regime", regime),
-            ("splits", n_splits),
-            ("cv", n_cv),
-            ("noise-draws", n_noise),
-            ("config-digest", config.digest()),
-        ],
-        outputs,
+
+    _write_results(
+        o,
+        format_mf_csv(results, regime, tags),
+        chart,
         started,
-        finished,
-        kernels.blas_record().items(),
+        {"regime": regime, "config-digest": config.digest()},
     )
     return 0
 
 
-def _cmd_report(args, cfg) -> int:
-    inputs = list(args.inputs or [])
-    if not inputs:
+def _cmd_report(o) -> int:
+    if not o.inputs:
         raise _UsageError("report needs at least one composition CSV")
-    out_dir = _get(args, cfg, "out_dir", default=".")
-    seed = _seed_of(args, cfg)
 
     started = _utcnow()
     table: dict[tuple[str, str, str], str] = {}
     order: list[tuple[str, str, str]] = []
-    for path in inputs:
+    for path in o.inputs:
         with open(path, "r", encoding="utf-8") as fh:
             _, regime, tags = parse_mf_csv(fh.read(), path)
         key = (tags.get("b", ""), tags.get("noise", ""), tags.get("counts", ""))
@@ -583,17 +572,14 @@ def _cmd_report(args, cfg) -> int:
 
     lines = ["b,noise_regime,count_regime,regime"]
     lines += [f"{b},{noise},{counts},{table[(b, noise, counts)]}" for b, noise, counts in order]
-    out_csv = os.path.join(out_dir, "report.csv")
+    out_csv = os.path.join(o.out_dir, "report.csv")
     _write_atomic(out_csv, "\n".join(lines) + "\n")
-    finished = _utcnow()
     _write_manifest(
-        os.path.join(out_dir, "manifest.txt"),
-        "report",
-        seed,
-        [("inputs", ";".join(inputs))],
+        os.path.join(o.out_dir, "manifest.txt"),
+        o,
         [out_csv],
         started,
-        finished,
+        {"inputs": ";".join(o.inputs)},
     )
     return 0
 
@@ -603,75 +589,30 @@ def _cmd_report(args, cfg) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> _Parser:
-    shared = _Parser(add_help=False)
-    shared.add_argument("--seed", type=int)
-    shared.add_argument("--threads", type=int)
-    shared.add_argument("--out-dir", dest="out_dir")
-    shared.add_argument("--config")
+_COMMANDS = {
+    "synth": ("generate a synthetic dataset", _cmd_synth),
+    "place": ("compute sensor locations", _cmd_place),
+    "sweep": ("mode/sensor error sweep", _cmd_sweep),
+    "mf": ("multi-fidelity composition sweep", _cmd_mf),
+    "report": ("aggregate regime table", _cmd_report),
+}
 
+
+def _build_parser() -> _Parser:
     parser = _Parser(prog="sparsesense", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sparsesense {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_synth = sub.add_parser("synth", parents=[shared], help="generate a synthetic dataset")
-    p_synth.add_argument("--a", type=float)
-    p_synth.add_argument("--b", type=float)
-    p_synth.add_argument("--n", type=int)
-    p_synth.add_argument("--m", type=int)
-    p_synth.add_argument("--n-sv", dest="n_sv", type=int)
-    p_synth.add_argument("--format", choices=("binary", "csv"))
-    p_synth.add_argument("--out")
-    p_synth.set_defaults(func=_cmd_synth)
-
-    p_place = sub.add_parser("place", parents=[shared], help="compute sensor locations")
-    p_place.add_argument("--data")
-    p_place.add_argument("--p", type=int)
-    p_place.add_argument("--basis", choices=("svd", "randomized"))
-    p_place.add_argument("--modes", type=int)
-    p_place.add_argument("--oversample", choices=("random", "odeim-e"))
-    p_place.set_defaults(func=_cmd_place)
-
-    p_sweep = sub.add_parser("sweep", parents=[shared], help="mode/sensor error sweep")
-    p_sweep.add_argument("--data")
-    p_sweep.add_argument("--r-grid", dest="r_grid")
-    p_sweep.add_argument("--p-grid", dest="p_grid")
-    p_sweep.add_argument("--basis", choices=("svd", "randomized"))
-    p_sweep.add_argument("--noise-level", dest="noise_level", type=float)
-    p_sweep.add_argument("--oversample", choices=("random", "odeim-e"))
-    p_sweep.add_argument("--train-fraction", dest="train_fraction", type=float)
-    p_sweep.add_argument("--splits", type=int)
-    p_sweep.add_argument("--cv", type=int)
-    p_sweep.add_argument("--noise-draws", dest="noise_draws", type=int)
-    p_sweep.add_argument("--svg", action="store_const", const=True)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_mf = sub.add_parser("mf", parents=[shared], help="multi-fidelity composition sweep")
-    p_mf.add_argument("--data")
-    p_mf.add_argument("--p-cheap-max", dest="p_cheap_max", type=int)
-    p_mf.add_argument("--p-exp-max", dest="p_exp_max", type=int)
-    p_mf.add_argument("--cost-cheap", dest="cost_cheap", type=float)
-    p_mf.add_argument("--level-cheap", dest="level_cheap", type=float)
-    p_mf.add_argument("--level-exp", dest="level_exp", type=float)
-    p_mf.add_argument("--steps", type=int)
-    p_mf.add_argument("--assignment", choices=("exp-first", "exp-last"))
-    p_mf.add_argument("--band", type=float)
-    p_mf.add_argument("--basis", choices=("svd", "randomized"))
-    p_mf.add_argument("--oversample", choices=("random", "odeim-e"))
-    p_mf.add_argument("--train-fraction", dest="train_fraction", type=float)
-    p_mf.add_argument("--splits", type=int)
-    p_mf.add_argument("--cv", type=int)
-    p_mf.add_argument("--noise-draws", dest="noise_draws", type=int)
-    p_mf.add_argument("--svg", action="store_const", const=True)
-    p_mf.add_argument("--tag-b", dest="tag_b")
-    p_mf.add_argument("--tag-noise", dest="tag_noise")
-    p_mf.add_argument("--tag-counts", dest="tag_counts")
-    p_mf.set_defaults(func=_cmd_mf)
-
-    p_report = sub.add_parser("report", parents=[shared], help="aggregate regime table")
-    p_report.add_argument("inputs", nargs="*")
-    p_report.set_defaults(func=_cmd_report)
-
+    for command, (help_text, func) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for opt in OPTIONS[command]:
+            # Values stay text here; _resolve converts them like config-file text.
+            if opt.conv is _parse_bool:
+                p.add_argument(f"--{opt.flag}", dest=opt.dest, action="store_const", const="true")
+            else:
+                metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
+                p.add_argument(f"--{opt.flag}", dest=opt.dest, metavar=metavar)
+        p.set_defaults(func=func)
+    sub.choices["report"].add_argument("inputs", nargs="*")
     return parser
 
 
@@ -679,7 +620,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _load_config_file(args.config) if args.config else {}
-        return args.func(args, cfg)
+        return args.func(_resolve(args, cfg))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64

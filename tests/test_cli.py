@@ -1,13 +1,14 @@
 """Command-line behavior: outputs, determinism, exit codes, config precedence."""
 
 import os
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 from sparsesense import kernels
 from sparsesense.basis import randomized_basis, svd_basis
-from sparsesense.cli import main, parse_mf_csv, parse_sweep_csv
+from sparsesense.cli import OPTIONS, main, parse_mf_csv, parse_sweep_csv
 from sparsesense.dataset import load_matrix
 from sparsesense.placement import oversample_random, oversample_sigma_min, qr_pivots
 
@@ -465,3 +466,215 @@ def test_env_seed_used_when_absent(tmp_path, monkeypatch):
 
 def test_unknown_subcommand_is_usage_error():
     assert _run("frobnicate") == 64
+
+
+# ---------------------------------------------------------------------------
+# option table: config-file rules, manifests, flag sets
+# ---------------------------------------------------------------------------
+
+
+def _valid_args(command, data, out):
+    """A valid invocation of each subcommand that sets none of the options
+    the bad-value tests below set."""
+    return {
+        "synth": ["synth", "--a", "5", "--b", "-1", "--n", "4", "--m", "4",
+                  "--out", str(out / "x.bin")],
+        "place": ["place", "--data", data, "--p", "4", "--out-dir", str(out)],
+        "sweep": _sweep_args(data, out),
+        "mf": _mf_args(data, out),
+    }[command]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command,flag,value", [
+    ("synth", "format", "xml"),
+    ("place", "basis", "foo"),
+    ("place", "oversample", "x"),
+    ("sweep", "basis", "foo"),
+    ("sweep", "oversample", "x"),
+    ("mf", "basis", "foo"),
+    ("mf", "oversample", "x"),
+    ("mf", "assignment", "middle"),
+])
+def test_bad_values_are_usage_errors_from_flags_and_config_files(
+    tmp_path, capsys, source, command, flag, value
+):
+    data = _make_dataset(tmp_path)
+    out = tmp_path / "out"
+    args = _valid_args(command, data, out)
+    if source == "flag":
+        args += [f"--{flag}", value]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{flag}={value}\n")
+        args += ["--config", str(config)]
+    capsys.readouterr()
+    assert main(args) == 64
+    assert f"usage error: bad value for --{flag}: '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value,code,svg", [
+    ("ture", 64, False), ("", 64, False), ("2", 64, False),
+    ("yes", 0, True), ("On", 0, True), ("false", 0, False), ("0", 0, False),
+])
+def test_svg_in_a_config_file_takes_only_true_or_false_words(tmp_path, capsys, value, code, svg):
+    data = _make_dataset(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"svg={value}\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(_sweep_args(data, out, extra=("--config", str(config)))) == code
+    if code:
+        assert "bad value for --svg" in capsys.readouterr().err
+    assert (out / "sweep.svg").exists() == svg
+
+
+@pytest.mark.parametrize("line,message", [
+    ("noise_level=0.9", "unknown key 'noise_level'"),
+    ("noise-levels=0.9", "unknown key 'noise-levels'"),
+    ("splits 2", "expected key=value"),
+])
+def test_config_file_rejects_undeclared_keys_and_malformed_lines(tmp_path, capsys, line, message):
+    data = _make_dataset(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# sweep settings\n\nseed=17\n{line}\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(_sweep_args(data, out, extra=("--config", str(config)))) == 64
+    assert f"usage error: {config}: line 4: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_config_file_drives_synth_and_sweep(tmp_path):
+    config = tmp_path / "both.cfg"
+    config.write_text(
+        "a=100\nb=-1.1\nn=40\nm=60\nseed=7\n"
+        "r-grid=4,8\np-grid=8,16\nsplits=2\ncv=2\nnoise-draws=2\n"
+    )
+    data = str(tmp_path / "d.bin")
+    assert _run("synth", "--config", str(config), "--out", data) == 0
+    assert open(data, "rb").read() == open(_make_dataset(tmp_path, "ref.bin"), "rb").read()
+    out1, out2 = tmp_path / "cfg", tmp_path / "flags"
+    assert _run("sweep", "--data", data, "--config", str(config), "--out-dir", str(out1)) == 0
+    assert main(_sweep_args(data, out2, extra=("--seed", "7"))) == 0
+    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+def test_mf_manifest_records_every_protocol_option(tmp_path):
+    data = _make_dataset(tmp_path)
+    out = tmp_path / "mf"
+    extra = ("--basis", "randomized", "--tag-b", "-1.1", "--tag-noise", "low-high")
+    assert main(_mf_args(data, out, extra=extra)) == 0
+    lines = (out / "manifest.txt").read_text().splitlines()
+    for line in ("arg.basis=randomized", "arg.oversample=random",
+                 "arg.train-fraction=0.80000000000000004", "arg.tag-b=-1.1",
+                 "arg.tag-noise=low-high", "arg.splits=2", "arg.level-cheap=0.40000000000000002"):
+        assert line in lines
+    assert not any(line.startswith(("arg.tag-counts", "arg.svg", "arg.threads")) for line in lines)
+
+
+def test_synth_place_and_report_manifests_record_the_blas(tmp_path):
+    data = _make_dataset(tmp_path)
+    mf_csv = tmp_path / "one.csv"
+    mf_csv.write_text(_MF_TEXT.format(b="-1.6", noise="low-high"))
+    assert _run("place", "--data", data, "--p", "8", "--out-dir", str(tmp_path / "pl")) == 0
+    assert _run("report", str(mf_csv), "--out-dir", str(tmp_path / "rep")) == 0
+    record = kernels.blas_record()
+    for manifest in (data + ".manifest", tmp_path / "pl" / "manifest.txt",
+                     tmp_path / "rep" / "manifest.txt"):
+        lines = open(manifest).read().splitlines()
+        assert f"blas={record['blas']}" in lines
+        assert f"blas-threads={record['blas-threads']}" in lines
+
+
+# A non-default value for every option, as command-line text. "{data}" and
+# "{out}" are filled in per test.
+_SAMPLES = {
+    "shared": {"seed": "5", "threads": "2", "out-dir": "{out}"},
+    "synth": {"a": "50", "b": "-1.5", "n": "24", "m": "36", "n-sv": "12",
+              "format": "csv", "out": "{out}/s.csv"},
+    "place": {"data": "{data}", "p": "14", "basis": "randomized", "modes": "8",
+              "oversample": "odeim-e"},
+    "sweep": {"data": "{data}", "r-grid": "4,8", "p-grid": "8,12", "noise-level": "0.05",
+              "basis": "randomized", "oversample": "odeim-e", "train-fraction": "0.75",
+              "splits": "2", "cv": "1", "noise-draws": "1", "svg": "true"},
+    "mf": {"data": "{data}", "p-cheap-max": "10", "p-exp-max": "2", "cost-cheap": "0.5",
+           "level-cheap": "0.4", "level-exp": "0.01", "steps": "3", "assignment": "exp-last",
+           "band": "0.05", "basis": "randomized", "oversample": "odeim-e",
+           "train-fraction": "0.75", "splits": "2", "cv": "1", "noise-draws": "1",
+           "svg": "true", "tag-b": "-1.1", "tag-noise": "low-high", "tag-counts": "small"},
+    "report": {},
+}
+
+# The --config option itself has no config-file form.
+_DECLARED = [
+    (command, option)
+    for command, options in OPTIONS.items()
+    for option in options
+    if option.flag != "config"
+]
+
+
+@pytest.fixture(scope="module")
+def table_dataset(tmp_path_factory):
+    return _make_dataset(tmp_path_factory.mktemp("table"))
+
+
+@pytest.mark.parametrize(
+    "command,option", _DECLARED, ids=[f"{c}-{o.flag}" for c, o in _DECLARED]
+)
+def test_config_file_and_flag_agree_for_every_option(tmp_path, table_dataset, command, option):
+    samples = {**_SAMPLES["shared"], **_SAMPLES[command]}
+    assert {o.flag for o in OPTIONS[command]} - {"config"} == set(samples)
+    out = tmp_path / "out"
+    text = {
+        flag: value.format(data=table_dataset, out=out) for flag, value in samples.items()
+    }
+    positional = []
+    if command == "report":
+        mf_csv = tmp_path / "one.csv"
+        mf_csv.write_text(_MF_TEXT.format(b="-1.6", noise="low-high"))
+        positional = [str(mf_csv)]
+
+    def flags(names):
+        args = []
+        for flag in names:
+            args += [f"--{flag}"] if flag == "svg" else [f"--{flag}", text[flag]]
+        return args
+
+    manifest = out / ("s.csv.manifest" if command == "synth" else "manifest.txt")
+    runs = []
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{option.flag}={text[option.flag]}\n")
+    others = [flag for flag in text if flag != option.flag]
+    for args in (flags(text), flags(others) + ["--config", str(config)]):
+        assert main([command, *positional, *args]) == 0
+        runs.append([
+            line for line in manifest.read_text().splitlines()
+            if not line.startswith(("started=", "finished="))
+        ])
+    assert runs[0] == runs[1]
+    if option.record:
+        assert any(line.startswith(f"arg.{option.flag}=") for line in runs[0])
+
+
+_FLAGS = {
+    "synth": "a b config format m n n-sv out out-dir seed threads",
+    "place": "basis config data modes out-dir oversample p seed threads",
+    "sweep": "basis config cv data noise-draws noise-level out-dir oversample p-grid "
+             "r-grid seed splits svg threads train-fraction",
+    "mf": "assignment band basis config cost-cheap cv data level-cheap level-exp "
+          "noise-draws out-dir oversample p-cheap-max p-exp-max seed splits steps svg "
+          "tag-b tag-counts tag-noise threads train-fraction",
+    "report": "config out-dir seed threads",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_each_subcommand_keeps_its_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out)) - {"help"}
+    assert flags == set(_FLAGS[command].split())
