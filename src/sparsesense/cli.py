@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: synth, place, sweep, mf, report. Shared flags: --seed,
---threads, --out-dir, --config.
+Subcommands: synth, place, sweep, mf, report. Every subcommand takes --seed
+and --config; all but synth, which writes to --out, take --out-dir; sweep and
+mf, the only ones that run trials, take --threads.
 
 Every long option is declared once, in ``OPTIONS``: its flag, how its text
 converts, its default, whether it is required, its allowed choices and
@@ -136,14 +137,12 @@ class Option:
         return self.flag.replace("-", "_")
 
 
-_SHARED = (
-    Option("seed", int, _protocol("master_seed"), record=False, env="SPARSESENSE_SEED"),
-    Option(
-        "threads", _parse_threads, _library_default(sweep_modes_sensors, "threads"), record=False
-    ),
-    Option("out-dir", default=".", record=False),
-    Option("config", record=False),
+_SEED = Option("seed", int, _protocol("master_seed"), record=False, env="SPARSESENSE_SEED")
+_THREADS = Option(
+    "threads", _parse_threads, _library_default(sweep_modes_sensors, "threads"), record=False
 )
+_OUT_DIR = Option("out-dir", default=".", record=False)
+_CONFIG = Option("config", record=False)
 _DATA = Option("data", required=True)
 _BASIS = Option("basis", default=_protocol("basis_kind"), choices=BASIS_KINDS)
 _OVERSAMPLE = Option(
@@ -161,8 +160,8 @@ _PROTOCOL = (
 )
 
 OPTIONS: dict[str, tuple[Option, ...]] = {
-    "synth": _SHARED
-    + (
+    "synth": (
+        _SEED, _CONFIG,
         Option("a", float, required=True),
         Option("b", float, required=True),
         Option("n", int, required=True),
@@ -171,26 +170,23 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
         Option("format", default=_library_default(save_matrix, "fmt"), choices=("binary", "csv")),
         Option("out", required=True),
     ),
-    "place": _SHARED
-    + (
-        _DATA,
+    "place": (
+        _SEED, _OUT_DIR, _CONFIG, _DATA,
         Option("p", int, required=True),
         _BASIS,
         # The manifest records the mode count the plan used instead.
         Option("modes", int, record=False),
         _OVERSAMPLE,
     ),
-    "sweep": _SHARED
-    + (
-        _DATA,
+    "sweep": (
+        _SEED, _THREADS, _OUT_DIR, _CONFIG, _DATA,
         Option("r-grid", _parse_grid, required=True),
         Option("p-grid", _parse_grid, required=True),
         Option("noise-level", float, _protocol("level_cheap")),
     )
     + _PROTOCOL,
-    "mf": _SHARED
-    + (
-        _DATA,
+    "mf": (
+        _SEED, _THREADS, _OUT_DIR, _CONFIG, _DATA,
         Option("p-cheap-max", int, required=True),
         Option("p-exp-max", int, required=True),
         Option("cost-cheap", float, 1.0),
@@ -202,7 +198,7 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
     )
     + _PROTOCOL
     + (Option("tag-b"), Option("tag-noise"), Option("tag-counts")),
-    "report": _SHARED,
+    "report": (_SEED, _OUT_DIR, _CONFIG),
 }
 
 

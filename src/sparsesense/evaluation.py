@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from hashlib import sha256
 
@@ -207,6 +208,10 @@ class _SweepCache:
     per-r bases are views of that basis's leading columns, not copies. A
     split's test snapshots are held as one row-major array, the order in
     which trials gather sensor rows and subtract estimates.
+
+    In a sweep, ``splits`` and ``svd_modes`` are filled on the calling
+    thread before the pool starts and only read after; every other entry is
+    keyed by (split, r) and written only by the task that owns that pair.
 
     ``solves`` maps a trial's :func:`_solve_key` to the memo of its plan:
     :func:`run_trial` stores the plan and the per-sensor sigmas in it on the
@@ -394,58 +399,51 @@ def _error_in_place(X, Xhat, x_norm: float) -> float:
 def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
     """Errors of every trial of every cell, each in (split, cv, noise) order.
 
-    The sweep runs in three stages with BLAS on one thread throughout:
+    Every split, and for SVD bases its SVD basis of every mode, is built on
+    the calling thread first. Then one task per (split, r), largest r first,
+    builds that pair's basis, CPQR pivots and, for odeim-e, the plan at the
+    largest p of its cells, and runs its cells' plan groups: each group
+    opens its plan's solve memo, runs the cell's trials that share the plan
+    in (cv, noise) order, writing each error by index, and drops the memo,
+    so each Theta is factored once per cell. A repeated cell is run once.
 
-    1. every split, and for SVD bases its SVD basis of every mode, on the
-       calling thread;
-    2. one task per (split, r): basis, CPQR pivots and, for odeim-e, the
-       plan at the largest p of that r; largest r first;
-    3. one task per cell and plan: it opens the plan's solve memo, runs the
-       cell's trials that share it in (cv, noise) order, writing each error
-       by index, and drops the memo, so each Theta is factored once per
-       cell.
-
-    Stages 2 and 3 go to one pool of min(threads, cpu count) workers, with
-    every cell's tasks submitted at once; threads = 1 runs them in order on
-    the calling thread. Results do not depend on the schedule. A repeated
-    cell is run once.
+    The tasks go to one pool of min(threads, cpu count) workers; threads = 1
+    runs them in order on the calling thread. The pool only reads the
+    splits and their SVD bases, and each task is the only writer of its
+    pair's cache entries, so results do not depend on the schedule. An
+    error or an interrupt ends the sweep now: queued tasks are cancelled and
+    running ones stop before their next plan group.
     """
     cache = _SweepCache()
     splits, n_cv, n_noise = range(config.n_splits), config.n_placement_cv, config.n_noise
     errors = {cell: np.empty(config.trials) for cell in cells}
-    longest: dict[int, int] = {}
-    groups = []
+    by_r: dict[int, list] = {}
     for cell, out in errors.items():
         r, p, comp = _resolve_cell(config, cell)
-        longest[r] = max(longest.get(r, 0), p)
-        cv_groups = (
-            [[c] for c in range(n_cv)] if _plan_varies_with_cv(config, r, p) else [range(n_cv)]
-        )
-        groups += [
-            (_solve_key(config, comp, s, cvs[0], r, p), cell, out, s, cvs)
-            for s in splits
-            for cvs in cv_groups
-        ]
+        by_r.setdefault(r, []).append((p, comp, cell, out))
+    stop = threading.Event()
 
-    def prepare(s, r):
+    def run_task(s, r):
         _get_pivot_order(config, cache, s, r)
-        p = longest[r]
-        if config.policy.oversample == "odeim-e" and p > min(r, config.dataset.n):
-            _get_plan(config, cache, s, 0, r, p)
+        longest = max(p for p, *_ in by_r[r])
+        if config.policy.oversample == "odeim-e" and longest > min(r, config.dataset.n):
+            _get_plan(config, cache, s, 0, r, longest)
+        for p, comp, cell, out in by_r[r]:
+            varies = _plan_varies_with_cv(config, r, p)
+            for cvs in [[c] for c in range(n_cv)] if varies else [range(n_cv)]:
+                if stop.is_set():
+                    return
+                key = _solve_key(config, comp, s, cvs[0], r, p)
+                cache.solves[key] = {}
+                try:
+                    for c in cvs:
+                        row = (s * n_cv + c) * n_noise
+                        for z in range(n_noise):
+                            out[row + z] = run_trial(config, s, c, z, cell, cache)
+                finally:
+                    del cache.solves[key]
 
-    def run_group(key, cell, out, s, cvs):
-        cache.solves[key] = {}
-        try:
-            for c in cvs:
-                for z in range(n_noise):
-                    out[(s * n_cv + c) * n_noise + z] = run_trial(config, s, c, z, cell, cache)
-        finally:
-            del cache.solves[key]
-
-    stages = (
-        [(prepare, (s, r)) for r in sorted(longest, reverse=True) for s in splits],
-        [(run_group, group) for group in groups],
-    )
+    tasks = [(s, r) for r in sorted(by_r, reverse=True) for s in splits]
     with kernels.single_blas_thread():
         for s in splits:
             _get_split(config, cache, s)
@@ -453,18 +451,16 @@ def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
                 _get_svd_modes(config, cache, s)
         workers = min(threads, os.cpu_count() or 1)
         if workers == 1:
-            for stage in stages:
-                for fn, args in stage:
-                    fn(*args)
+            for task in tasks:
+                run_task(*task)
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 try:
-                    for stage in stages:
-                        for future in [pool.submit(fn, *args) for fn, args in stage]:
-                            future.result()
+                    futures = [pool.submit(run_task, *task) for task in tasks]
+                    for future in wait(futures, return_when=FIRST_EXCEPTION).done:
+                        future.result()
                 except BaseException:
-                    # An error or an interrupt ends the sweep now, not after
-                    # every queued task has run.
+                    stop.set()
                     pool.shutdown(cancel_futures=True)
                     raise
     return [errors[cell] for cell in cells]

@@ -9,7 +9,7 @@ import pytest
 from sparsesense import kernels
 from sparsesense.basis import randomized_basis, svd_basis
 from sparsesense.cli import OPTIONS, main, parse_mf_csv, parse_sweep_csv
-from sparsesense.dataset import load_matrix
+from sparsesense.dataset import Dataset, load_matrix, save_matrix
 from sparsesense.placement import oversample_random, oversample_sigma_min, qr_pivots
 
 
@@ -157,6 +157,18 @@ def test_place_with_modes_pinned_locations(tmp_path):
     assert _placed(out) == [26, 2, 34, 13, 22, 29, 17, 10, 28, 14, 32, 38, 39, 27]
 
 
+@pytest.mark.parametrize("oversample", ["random", "odeim-e"])
+@pytest.mark.parametrize("basis", ["svd", "randomized"])
+def test_place_a_sensor_on_every_row(tmp_path, basis, oversample):
+    data = _make_dataset(tmp_path)
+    out = tmp_path / "placed"
+    assert _run(
+        "place", "--data", data, "--p", "40", "--basis", basis,
+        "--oversample", oversample, "--out-dir", str(out),
+    ) == 0
+    assert sorted(_placed(out)) == list(range(40))
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -288,6 +300,44 @@ def test_sweep_non_ascii_csv_is_data_error_naming_file_and_line(tmp_path, capsys
     assert code == 65
     err = capsys.readouterr().err
     assert "accent.csv" in err and "line 3" in err and "codec" not in err
+
+
+def _bad_data_files(tmp_path) -> dict[str, bytes]:
+    """A binary one value short of its header, and CSVs holding nan and inf."""
+    _make_dataset(tmp_path)
+    blob = (tmp_path / "d.bin").read_bytes()
+    return {
+        "short.bin": blob[:-8],
+        "nan.csv": b"1,2,3\n4,nan,6\n7,8,9\n",
+        "inf.csv": b"1,2,3\n4,5,6\n7,8,-inf\n",
+    }
+
+
+@pytest.mark.parametrize("command", ["sweep", "mf", "place"])
+@pytest.mark.parametrize("name", ["short.bin", "nan.csv", "inf.csv"])
+def test_corrupt_data_files_are_data_errors_naming_the_file(tmp_path, capsys, command, name):
+    data = tmp_path / name
+    data.write_bytes(_bad_data_files(tmp_path)[name])
+    out = tmp_path / "out"
+    args = {
+        "sweep": _sweep_args(str(data), out),
+        "mf": _mf_args(str(data), out),
+        "place": ["place", "--data", str(data), "--p", "2", "--out-dir", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(args) == 65
+    assert f"error: {data}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_on_all_zero_data_is_a_data_error(tmp_path, capsys):
+    data = str(tmp_path / "zero.bin")
+    save_matrix(Dataset(np.zeros((40, 60)), "zero"), data)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(_sweep_args(data, out)) == 65
+    assert "zero norm" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +611,47 @@ def test_one_config_file_drives_synth_and_sweep(tmp_path):
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
+def test_one_config_file_with_threads_and_out_dir_drives_synth_and_sweep(tmp_path):
+    out = tmp_path / "cfg"
+    config = tmp_path / "both.cfg"
+    config.write_text(
+        f"a=100\nb=-1.1\nn=40\nm=60\nseed=7\nthreads=2\nout-dir={out}\n"
+        "r-grid=4,8\np-grid=8,16\nsplits=2\ncv=2\nnoise-draws=2\n"
+    )
+    data = str(tmp_path / "d.bin")
+    # synth takes neither key, and ignores both.
+    assert _run("synth", "--config", str(config), "--out", data) == 0
+    _make_dataset(tmp_path, "ref.bin")
+    assert (tmp_path / "d.bin").read_bytes() == (tmp_path / "ref.bin").read_bytes()
+    assert not out.exists()
+    assert _run("sweep", "--data", data, "--config", str(config)) == 0
+    flags = tmp_path / "flags"
+    assert main(_sweep_args(data, flags, extra=("--seed", "7", "--threads", "1"))) == 0
+    assert (out / "sweep.csv").read_bytes() == (flags / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("synth", "--out-dir"), ("synth", "--threads"), ("place", "--threads"),
+    ("report", "--threads"),
+])
+def test_subcommands_reject_flags_they_would_ignore(tmp_path, capsys, command, flag):
+    data = _make_dataset(tmp_path)
+    mf_csv = tmp_path / "one.csv"
+    mf_csv.write_text(_MF_TEXT.format(b="-1.6", noise="low-high"))
+    out = tmp_path / "out"
+    args = {
+        "synth": ["synth", "--a", "5", "--b", "-1", "--n", "4", "--m", "4",
+                  "--out", str(out / "x.bin")],
+        "place": ["place", "--data", data, "--p", "8", "--out-dir", str(out)],
+        "report": ["report", str(mf_csv), "--out-dir", str(out)],
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(args + [flag, str(out / "sub") if flag == "--out-dir" else "3"]) == 64
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_mf_manifest_records_every_protocol_option(tmp_path):
     data = _make_dataset(tmp_path)
     out = tmp_path / "mf"
@@ -591,20 +682,22 @@ def test_synth_place_and_report_manifests_record_the_blas(tmp_path):
 # A non-default value for every option, as command-line text. "{data}" and
 # "{out}" are filled in per test.
 _SAMPLES = {
-    "shared": {"seed": "5", "threads": "2", "out-dir": "{out}"},
+    "shared": {"seed": "5"},
     "synth": {"a": "50", "b": "-1.5", "n": "24", "m": "36", "n-sv": "12",
               "format": "csv", "out": "{out}/s.csv"},
-    "place": {"data": "{data}", "p": "14", "basis": "randomized", "modes": "8",
-              "oversample": "odeim-e"},
-    "sweep": {"data": "{data}", "r-grid": "4,8", "p-grid": "8,12", "noise-level": "0.05",
+    "place": {"out-dir": "{out}", "data": "{data}", "p": "14", "basis": "randomized",
+              "modes": "8", "oversample": "odeim-e"},
+    "sweep": {"threads": "2", "out-dir": "{out}", "data": "{data}", "r-grid": "4,8",
+              "p-grid": "8,12", "noise-level": "0.05",
               "basis": "randomized", "oversample": "odeim-e", "train-fraction": "0.75",
               "splits": "2", "cv": "1", "noise-draws": "1", "svg": "true"},
-    "mf": {"data": "{data}", "p-cheap-max": "10", "p-exp-max": "2", "cost-cheap": "0.5",
+    "mf": {"threads": "2", "out-dir": "{out}", "data": "{data}", "p-cheap-max": "10",
+           "p-exp-max": "2", "cost-cheap": "0.5",
            "level-cheap": "0.4", "level-exp": "0.01", "steps": "3", "assignment": "exp-last",
            "band": "0.05", "basis": "randomized", "oversample": "odeim-e",
            "train-fraction": "0.75", "splits": "2", "cv": "1", "noise-draws": "1",
            "svg": "true", "tag-b": "-1.1", "tag-noise": "low-high", "tag-counts": "small"},
-    "report": {},
+    "report": {"out-dir": "{out}"},
 }
 
 # The --config option itself has no config-file form.
@@ -660,14 +753,14 @@ def test_config_file_and_flag_agree_for_every_option(tmp_path, table_dataset, co
 
 
 _FLAGS = {
-    "synth": "a b config format m n n-sv out out-dir seed threads",
-    "place": "basis config data modes out-dir oversample p seed threads",
+    "synth": "a b config format m n n-sv out seed",
+    "place": "basis config data modes out-dir oversample p seed",
     "sweep": "basis config cv data noise-draws noise-level out-dir oversample p-grid "
              "r-grid seed splits svg threads train-fraction",
     "mf": "assignment band basis config cost-cheap cv data level-cheap level-exp "
           "noise-draws out-dir oversample p-cheap-max p-exp-max seed splits steps svg "
           "tag-b tag-counts tag-noise threads train-fraction",
-    "report": "config out-dir seed threads",
+    "report": "config out-dir seed",
 }
 
 

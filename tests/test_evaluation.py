@@ -1,6 +1,7 @@
 """Reconstruction, error metrics, trial seeding, sweeps, classification."""
 
 import sys
+import threading
 import time
 from collections import Counter
 
@@ -9,7 +10,7 @@ import pytest
 
 from sparsesense import evaluation, kernels
 from sparsesense.basis import Basis, svd_basis
-from sparsesense.dataset import SpectrumSpec, split, synthesize
+from sparsesense.dataset import Dataset, SpectrumSpec, split, synthesize
 from sparsesense.evaluation import (
     CellResult,
     ExperimentConfig,
@@ -893,3 +894,114 @@ def test_sweep_with_a_repeated_cell_runs_it_once(monkeypatch):
     repeated = sweep_modes_sensors(config, [4, 4], [10], threads=2)
     assert repeated == single * 2
     assert len(calls) == config.trials
+
+
+# ---------------------------------------------------------------------------
+# nasty inputs: every row a sensor, zero-variance data
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("oversample", ["random", "odeim-e"])
+@pytest.mark.parametrize("basis_kind", ["svd", "randomized"])
+def test_sweep_cells_with_a_sensor_on_every_row(basis_kind, oversample):
+    config = _noisy_config(basis_kind=basis_kind, policy=PlacementPolicy(oversample=oversample))
+    n = config.dataset.n
+    results = sweep_modes_sensors(config, [4, 12], [12, n], threads=1)
+    assert all(np.isfinite([c.mean_error, c.std_error]).all() for c in results)
+    assert sweep_modes_sensors(config, [4, 12], [12, n], threads=2) == results
+    for res in results:
+        if res.p == n:
+            assert (res.mean_error, res.std_error) == _fresh_summary(config, (res.r, res.p))
+
+
+@pytest.mark.parametrize("oversample", ["random", "odeim-e"])
+@pytest.mark.parametrize("basis_kind", ["svd", "randomized"])
+def test_sweeps_on_zero_variance_data(basis_kind, oversample):
+    # Every snapshot is the same constant field: the data has rank one and
+    # its variance, so every noise level, is zero.
+    config = _noisy_config(
+        dataset=Dataset(np.full((30, 24), 2.5), "constant"),
+        basis_kind=basis_kind,
+        policy=PlacementPolicy(small_p_threshold=4, oversample=oversample),
+        budget=budget_from_endpoints(12, 4, 1.0),
+        composition_steps=4,
+    )
+    cells = sweep_modes_sensors(config, [1, 4], [4, 10], threads=1)
+    comps = mf_sweep(config, threads=1)
+    for res in cells + comps:
+        assert np.isfinite([res.mean_error, res.std_error]).all()
+    assert sweep_modes_sensors(config, [1, 4], [4, 10], threads=2) == cells
+    assert mf_sweep(config, threads=2) == comps
+
+
+# ---------------------------------------------------------------------------
+# ownership: one pool task per (split, r)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("oversample", ["random", "odeim-e"])
+@pytest.mark.parametrize("basis_kind", ["svd", "randomized"])
+def test_each_split_and_r_is_prepared_once_on_the_thread_of_its_trials(
+    monkeypatch, basis_kind, oversample
+):
+    config = _noisy_config(basis_kind=basis_kind, policy=PlacementPolicy(oversample=oversample))
+    r_grid, p_grid = [4, 6], [5, 10]
+    sequential = sweep_modes_sensors(config, r_grid, p_grid, threads=1)
+    owner = {}  # id of a basis or of its mode matrix -> (split, r)
+    calls = []  # (layer, (split, r) or split, thread); list.append is atomic
+
+    def recording(name, fn, key):
+        def wrapper(*args):
+            calls.append((name, key(*args), threading.get_ident()))
+            return fn(*args)
+
+        return wrapper
+
+    get_basis = evaluation._get_basis
+
+    def owned_basis(config, cache, s, r):
+        basis = get_basis(config, cache, s, r)
+        owner[id(basis)] = owner[id(basis.psi)] = (s, r)
+        return basis
+
+    monkeypatch.setattr(evaluation, "_get_basis", owned_basis)
+    monkeypatch.setattr(evaluation, "split", recording(
+        "split", evaluation.split, lambda ds, fraction, seed: seed))
+    basis_fn = "svd_basis" if basis_kind == "svd" else "randomized_basis"
+    monkeypatch.setattr(evaluation, basis_fn, recording(
+        "basis", getattr(evaluation, basis_fn), lambda train, r, *seed: (id(train), r)))
+    monkeypatch.setattr(evaluation, "qr_pivots", recording(
+        "pivots", evaluation.qr_pivots, lambda basis, k: owner[id(basis)]))
+    monkeypatch.setattr(kernels, "sigma_min_tail", recording(
+        "tail", kernels.sigma_min_tail, lambda psi, prefix, count: owner[id(psi)]))
+    monkeypatch.setattr(evaluation, "run_trial", recording(
+        "trial", evaluation.run_trial, lambda config, s, c, z, cell, cache: (s, cell[0])))
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert sweep_modes_sensors(config, r_grid, p_grid, threads=8) == sequential
+    finally:
+        sys.setswitchinterval(interval)
+
+    pairs = {(s, r) for s in range(config.n_splits) for r in r_grid}
+    keys = Counter((name, key) for name, key, _ in calls)
+    # One split per split index; for SVD sweeps one basis of every mode per
+    # split, for randomized ones one basis per (split, r).
+    assert Counter(name for name, _ in keys) == Counter({
+        "split": config.n_splits,
+        "basis": config.n_splits * (1 if basis_kind == "svd" else len(r_grid)),
+        "pivots": len(pairs),
+        "tail": len(pairs) if oversample == "odeim-e" else 0,
+        "trial": len(pairs),
+    })
+    assert all(count == 1 for (name, _), count in keys.items() if name != "trial")
+    assert {key for name, key in keys if name == "pivots"} == pairs
+    # Each pair's pivots, greedy tail and trials ran on one thread: the task
+    # that owns the pair.
+    threads_of = {}
+    for name, key, thread in calls:
+        if name in ("pivots", "tail", "trial"):
+            threads_of.setdefault(key, set()).add(thread)
+    assert set(threads_of) == pairs
+    assert all(len(threads) == 1 for threads in threads_of.values())

@@ -1,7 +1,11 @@
 """Source layout: the package's modules reach each other only through
-public names, so every stage keeps one entry point."""
+public names, so every stage keeps one entry point; and every name the
+benchmark in ``perfbench/`` traces, imports or calls still exists."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -49,3 +53,68 @@ def test_no_module_imports_a_private_name_from_another():
         if (names := _private_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's contract: what perfbench/ reaches into, read from its source
+# ---------------------------------------------------------------------------
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_layer_the_benchmark_traces_exists():
+    targets = _bench_module("layers").TARGETS
+    assert targets
+    for module, attr, _ in targets:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def _bench_references() -> set[tuple[str, str]]:
+    """(module, name) pairs the benchmark imports from the package or reads
+    as ``kernels.<name>`` / ``evaluation.<name>``."""
+    found = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sparsesense"):
+                found |= {(node.module, alias.name) for alias in node.names}
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("kernels", "evaluation")
+            ):
+                found.add((f"sparsesense.{node.value.id}", node.attr))
+    return found
+
+
+def test_every_name_the_benchmark_reads_exists():
+    found = _bench_references()
+    kernel_names = {"cpqr_select", "warmup", "backend_name", "NUMBA_AVAILABLE"}
+    assert {("sparsesense.kernels", name) for name in kernel_names} <= found
+    assert ("sparsesense.evaluation", "run_trial") in found
+    for module, name in sorted(found):
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_the_benchmark_oracle_keeps_its_call_shape():
+    from sparsesense import evaluation
+    from sparsesense.dataset import SpectrumSpec, synthesize
+
+    params = inspect.signature(evaluation.run_trial).parameters
+    assert list(params) == ["config", "split_idx", "cv_idx", "noise_idx", "cell", "cache"]
+    assert params["cache"].default is None
+    config = evaluation.ExperimentConfig(
+        dataset=synthesize(SpectrumSpec(10.0, -0.7, 4), 12, 10, seed=0),
+        n_splits=1,
+        n_placement_cv=1,
+        n_noise=1,
+    )
+    cache = evaluation._SweepCache()
+    error = evaluation.run_trial(config, 0, 0, 0, (3, 5), cache)
+    assert error == evaluation.run_trial(config, 0, 0, 0, (3, 5))
