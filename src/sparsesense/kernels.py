@@ -5,9 +5,20 @@ ranking) and the greedy smallest-singular-value row scan (principled
 oversampling). Both are vectorized numpy.
 
 CPQR picks the remaining column with the largest residual norm (ties to the
-lowest index), deflates with one Householder reflection per step as a
-rank-one block update, and downdates the residual norms, recomputing any
-that have lost too much of their last exact value to cancellation.
+lowest index) and deflates with one Householder reflection per step. The
+reflections are applied in blocks, as in LAPACK's xLAQPS (Quintana-Orti,
+Sun & Bischof 1998): a step updates only its pivot column and pivot row,
+the residual norms are downdated from the pivot row, and the rest of the
+matrix gets one matrix product per block. A block ends early when a
+downdated norm has lost too much of its last exact value to cancellation;
+such norms are then recomputed from the updated matrix.
+
+The pivots are those of the unblocked loop, which applies each reflection
+to the whole trailing matrix at once (the reference in
+``tests/test_kernels.py``), wherever the residual norms differ by more than
+roundoff; exact ties still go to the lowest index. The delayed updates round
+the norms differently, so norms that tie to the last bit may resolve the
+other way.
 
 The sigma_min scan runs each greedy step in three phases:
 
@@ -36,6 +47,7 @@ many threads the machine's BLAS would otherwise use.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import threading
 from contextlib import contextmanager
@@ -46,6 +58,9 @@ import numpy as np
 # has lost this fraction of its last exactly-computed value, cancellation may
 # dominate and the norm is recomputed from scratch.
 _NORM_GUARD = 1e-10
+# Reflections per block of the blocked CPQR: the trailing matrix is updated
+# once per block, by one matrix product.
+_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +183,18 @@ def cpqr_select(V: np.ndarray, k: int, want_q: bool = False):
 
     Each step swaps the remaining column with the largest residual norm into
     place (the first maximum, so exact ties go to the lowest index) and
-    deflates with a Householder reflection; Q is accumulated only when
-    requested, to keep the placement hot path lean.
+    deflates with a Householder reflection H = I - beta v v^T; Q is
+    accumulated only when requested, to keep the placement hot path lean.
+
+    The reflections are applied in blocks of up to ``_BLOCK`` steps, as in
+    LAPACK's xLAQPS. Within a block, on the rows from the block's first step
+    down, the deflated matrix is A - Vb^T F: A is that part of W at the
+    block's start, Vb holds the block's reflectors v (one per row) and F the
+    matching rows beta (v^T A - (Vb v)^T F). W keeps A there; a step brings
+    only its pivot column and pivot row up to date, and downdates the
+    residual norms from the pivot row. The rest of W gets one matrix product
+    when the block ends, early if a norm fails the guard, and the norms that
+    failed are then recomputed.
     """
     W = np.array(V, dtype=np.float64, order="C", copy=True)
     r, n = W.shape
@@ -177,49 +202,74 @@ def cpqr_select(V: np.ndarray, k: int, want_q: bool = False):
     perm = np.arange(n)
     r_diag = np.zeros(k)
     norms2 = np.einsum("ij,ij->j", W, W)
-    orig2 = norms2.copy()
+    # Never negative, so it also catches estimates that cancelled below zero.
+    floor = _NORM_GUARD * norms2
 
-    for step in range(k):
-        best = step + int(np.argmax(norms2[step:]))
-        if best != step:
-            W[:, [step, best]] = W[:, [best, step]]
-            perm[[step, best]] = perm[[best, step]]
-            norms2[[step, best]] = norms2[[best, step]]
-            orig2[[step, best]] = orig2[[best, step]]
+    start = 0
+    while start < k:
+        Vb = np.zeros((_BLOCK, r))
+        F = np.zeros((_BLOCK, n))
+        stale = None
+        for step in range(start, min(start + _BLOCK, k)):
+            i = step - start
+            best = step + int(norms2[step:].argmax())
+            if best != step:
+                col = W[:, best].copy()
+                W[:, best] = W[:, step]
+                W[:, step] = col
+                if i:
+                    col = F[:i, best].copy()
+                    F[:i, best] = F[:i, step]
+                    F[:i, step] = col
+                perm[step], perm[best] = perm[best], perm[step]
+                norms2[step], norms2[best] = norms2[best], norms2[step]
+                floor[step], floor[best] = floor[best], floor[step]
 
-        x = W[step:, step]
-        alpha = float(np.sqrt(np.dot(x, x)))
-        r_diag[step] = alpha
-        if alpha == 0.0:
-            # Residual block is numerically zero; remaining pivots fall
-            # through in lowest-index order with zero diagonals.
-            continue
+            x = W[step:, step]
+            if i:
+                x -= F[:i, step] @ Vb[:i, step:]
+            alpha = math.sqrt(x @ x)
+            r_diag[step] = alpha
+            if alpha == 0.0:
+                # Every remaining residual is exactly zero (one that
+                # collapsed inside this block would have failed the guard
+                # and ended it), so there is nothing to reflect, update or
+                # downdate: the remaining pivots fall through in position
+                # order with zero diagonals.
+                continue
 
-        sign = 1.0 if x[0] >= 0.0 else -1.0
-        v = x.copy()
-        v[0] += sign * alpha
-        beta = 2.0 / float(np.dot(v, v))
+            sign = 1.0 if x[0] >= 0.0 else -1.0
+            v = Vb[i, step:]
+            v[:] = x
+            v[0] += sign * alpha
+            beta = 2.0 / (v @ v)
+            x[0] = -sign * alpha
+            x[1:] = 0.0
+            f = v @ W[step:, step + 1 :]
+            if i:
+                f -= (Vb[:i, step:] @ v) @ F[:i, step + 1 :]
+            np.multiply(f, beta, out=F[i, step + 1 :])
+            if Q is not None:
+                qb = Q[:, step:]
+                qb -= np.outer(qb @ v, beta * v)
 
-        W[step, step] = -sign * alpha
-        W[step + 1 :, step] = 0.0
-        if step + 1 < n:
-            block = W[step:, step + 1 :]
-            block -= np.outer(beta * v, v @ block)
+            if step + 1 < n:
+                t = W[step, step + 1 :]
+                t -= Vb[: i + 1, step] @ F[: i + 1, step + 1 :]
+                est = norms2[step + 1 :]
+                est -= t * t
+                bad = est < floor[step + 1 :]
+                if bad.any():
+                    stale = step + 1 + np.flatnonzero(bad)
+                    break
 
-        if Q is not None:
-            qb = Q[:, step:]
-            qb -= np.outer(qb @ v, beta * v)
-
-        if step + 1 < n:
-            t = W[step, step + 1 :]
-            est = norms2[step + 1 :] - t * t
-            stale = (est < _NORM_GUARD * orig2[step + 1 :]) | (est < 0.0)
-            if np.any(stale):
-                cols = step + 1 + np.nonzero(stale)[0]
-                fresh = np.einsum("ij,ij->j", W[step + 1 :, cols], W[step + 1 :, cols])
-                est[np.nonzero(stale)[0]] = fresh
-                orig2[cols] = fresh
-            norms2[step + 1 :] = est
+        end = step + 1
+        W[end:, end:] -= Vb[: end - start, end:].T @ F[: end - start, end:]
+        if stale is not None:
+            fresh = np.einsum("ij,ij->j", W[end:, stale], W[end:, stale])
+            norms2[stale] = fresh
+            floor[stale] = _NORM_GUARD * fresh
+        start = end
 
     return perm, r_diag, W, Q
 

@@ -126,7 +126,7 @@ def test_c03_exact_recovery():
 
 def test_c04_oversampling_stabilization_trend(sweep_dirs):
     start = time.perf_counter()
-    rows = parse_sweep_csv(open(sweep_dirs[0] / "sweep.csv").read())
+    rows = parse_sweep_csv((sweep_dirs[0] / "sweep.csv").read_text())
     cells = {
         (row["r"], row["p"]): ss.CellResult(
             row["r"], row["p"], row["mean_error"], row["std_error"], row["trials"]
@@ -254,8 +254,8 @@ def test_c08_budget_feasibility_exact():
 
 def test_c09_determinism_byte_identical(sweep_dirs):
     start = time.perf_counter()
-    first = open(sweep_dirs[0] / "sweep.csv", "rb").read()
-    second = open(sweep_dirs[1] / "sweep.csv", "rb").read()
+    first = (sweep_dirs[0] / "sweep.csv").read_bytes()
+    second = (sweep_dirs[1] / "sweep.csv").read_bytes()
     ok = first == second and len(first) > 0
     elapsed = time.perf_counter() - start
     _verdict("C09 determinism", ok, elapsed, f"{len(first)} bytes identical")

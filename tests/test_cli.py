@@ -3,6 +3,7 @@
 import os
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,9 +36,9 @@ def _make_dataset(tmp_path, name="d.bin", n=40, m=60, b=-1.1, seed=7):
 def test_synth_writes_dataset_meta_and_manifest(tmp_path):
     path = _make_dataset(tmp_path)
     assert os.path.exists(path)
-    meta = open(path + ".meta").read()
+    meta = Path(path + ".meta").read_text()
     assert "kind=synthetic" in meta and "b=-1.1" in meta
-    manifest = open(path + ".manifest").read()
+    manifest = Path(path + ".manifest").read_text()
     assert "command=synth" in manifest
     assert "file.d.bin=sha256:" in manifest
     ds = load_matrix(path)
@@ -59,7 +60,7 @@ def test_synth_prescribed_spectrum(tmp_path):
 def test_synth_rerun_is_byte_identical(tmp_path):
     a = _make_dataset(tmp_path, "a.bin")
     b = _make_dataset(tmp_path, "b.bin")
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_synth_missing_flag_is_usage_error(tmp_path, capsys):
@@ -75,7 +76,7 @@ def test_synth_csv_format(tmp_path):
         "synth", "--a", "10", "--b", "-1", "--n", "5", "--m", "4",
         "--seed", "1", "--format", "csv", "--out", path,
     ) == 0
-    assert open(path).readline().strip() == "5,4"
+    assert Path(path).read_text().splitlines()[0] == "5,4"
 
 
 def test_synth_unwritable_path_is_io_error(tmp_path, capsys):
@@ -97,7 +98,7 @@ def test_place_emits_ranked_locations(tmp_path):
     data = _make_dataset(tmp_path)
     out = tmp_path / "placed"
     assert _run("place", "--data", data, "--p", "8", "--out-dir", str(out)) == 0
-    lines = open(out / "sensors.csv").read().splitlines()
+    lines = (out / "sensors.csv").read_text().splitlines()
     assert lines[0] == "rank,location"
     assert len(lines) == 9
     locations = [int(ln.split(",")[1]) for ln in lines[1:]]
@@ -118,7 +119,7 @@ def test_place_does_not_depend_on_the_blas_thread_count(tmp_path, blas_preset, b
 
 
 def _placed(out) -> list[int]:
-    lines = open(out / "sensors.csv").read().splitlines()
+    lines = (out / "sensors.csv").read_text().splitlines()
     assert lines[0] == "rank,location"
     return [int(ln.split(",")[1]) for ln in lines[1:]]
 
@@ -143,7 +144,7 @@ def test_place_with_modes_is_the_library_plan_on_that_basis(tmp_path, basis, ove
         else:
             want = oversample_sigma_min(modes, p)
     assert _placed(out) == want.locations.tolist()
-    manifest = open(out / "manifest.txt").read()
+    manifest = (out / "manifest.txt").read_text()
     assert "modes=8" in manifest and f"method={want.method}" in manifest
 
 
@@ -186,7 +187,7 @@ def test_sweep_csv_shape_and_reload(tmp_path):
     data = _make_dataset(tmp_path)
     out = tmp_path / "sw"
     assert main(_sweep_args(data, out)) == 0
-    text = open(out / "sweep.csv").read()
+    text = (out / "sweep.csv").read_text()
     lines = text.strip().splitlines()
     assert lines[0] == "r,p,basis,mean_error,std_error,trials"
     assert len(lines) == 5
@@ -203,7 +204,7 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     assert main(_sweep_args(data, out1)) == 0
     assert main(_sweep_args(data, out2)) == 0
-    assert open(out1 / "sweep.csv", "rb").read() == open(out2 / "sweep.csv", "rb").read()
+    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
 def test_sweep_threads_do_not_change_output(tmp_path):
@@ -211,7 +212,7 @@ def test_sweep_threads_do_not_change_output(tmp_path):
     out1, out2 = tmp_path / "t1", tmp_path / "t2"
     assert main(_sweep_args(data, out1, extra=("--threads", "1"))) == 0
     assert main(_sweep_args(data, out2, extra=("--threads", "4"))) == 0
-    assert open(out1 / "sweep.csv", "rb").read() == open(out2 / "sweep.csv", "rb").read()
+    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -340,6 +341,20 @@ def test_sweep_on_all_zero_data_is_a_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("oversample", ["random", "odeim-e"])
+@pytest.mark.parametrize("basis", ["svd", "randomized"])
+def test_place_on_all_zero_data_is_a_data_error(tmp_path, capsys, basis, oversample):
+    data = str(tmp_path / "zero.bin")
+    save_matrix(Dataset(np.zeros((20, 30)), "zero"), data)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    # Two modes and five sensors, so the oversampler runs too.
+    args = ("--modes", "2", "--p", "5", "--basis", basis, "--oversample", oversample)
+    assert _run("place", "--data", data, *args, "--out-dir", str(out)) == 65
+    assert f"error: {data}: data matrix has zero norm" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # mf
 # ---------------------------------------------------------------------------
@@ -358,7 +373,7 @@ def test_mf_csv_rows_footer_and_svg(tmp_path):
     data = _make_dataset(tmp_path)
     out = tmp_path / "mf"
     assert main(_mf_args(data, out, extra=("--svg", "--tag-b", "-1.1"))) == 0
-    text = open(out / "mf.csv").read()
+    text = (out / "mf.csv").read_text()
     rows, regime, tags = parse_mf_csv(text)
     assert [(row["p_cheap"], row["p_exp"]) for row in rows] == [(10, 0), (5, 1), (0, 2)]
     assert regime in ("cheap", "expensive", "inconclusive", "mixed-best")
@@ -374,7 +389,7 @@ def test_mf_rerun_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "m1", tmp_path / "m2"
     assert main(_mf_args(data, out1)) == 0
     assert main(_mf_args(data, out2)) == 0
-    assert open(out1 / "mf.csv", "rb").read() == open(out2 / "mf.csv", "rb").read()
+    assert (out1 / "mf.csv").read_bytes() == (out2 / "mf.csv").read_bytes()
 
 
 def test_mf_steps_two_gives_two_rows(tmp_path):
@@ -383,7 +398,7 @@ def test_mf_steps_two_gives_two_rows(tmp_path):
     args = _mf_args(data, out)
     args[args.index("--steps") + 1] = "2"
     assert main(args) == 0
-    rows, regime, _ = parse_mf_csv(open(out / "mf.csv").read())
+    rows, regime, _ = parse_mf_csv((out / "mf.csv").read_text())
     assert len(rows) == 2
     assert regime in ("cheap", "expensive", "inconclusive")
 
@@ -398,7 +413,7 @@ def test_mf_equal_levels_is_inconclusive_at_fixed_p(tmp_path):
         "--seed", "31", "--out-dir", str(out),
     )
     assert code == 0
-    _, regime, _ = parse_mf_csv(open(out / "mf.csv").read())
+    _, regime, _ = parse_mf_csv((out / "mf.csv").read_text())
     assert regime == "inconclusive"
 
 
@@ -422,7 +437,7 @@ def test_report_single_input(tmp_path):
     src.write_text(_MF_TEXT.format(b="-1.6", noise="low-high"))
     out = tmp_path / "rep"
     assert _run("report", str(src), "--out-dir", str(out)) == 0
-    lines = open(out / "report.csv").read().splitlines()
+    lines = (out / "report.csv").read_text().splitlines()
     assert lines[0] == "b,noise_regime,count_regime,regime"
     assert lines[1] == "-1.6,low-high,small,expensive"
 
@@ -436,7 +451,7 @@ def test_report_nine_inputs_nine_rows(tmp_path):
             paths.append(str(p))
     out = tmp_path / "rep9"
     assert _run("report", *paths, "--out-dir", str(out)) == 0
-    lines = open(out / "report.csv").read().splitlines()
+    lines = (out / "report.csv").read_text().splitlines()
     assert len(lines) == 10
 
 
@@ -482,9 +497,9 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     assert _run("synth", "--config", str(cfg), "--seed", "6", "--out", out2) == 0
     out3 = str(tmp_path / "c3.bin")
     assert _run("synth", "--config", str(cfg), "--seed", "5", "--out", out3) == 0
-    b1 = open(out1, "rb").read()
-    assert b1 != open(out2, "rb").read()
-    assert b1 == open(out3, "rb").read()
+    b1 = Path(out1).read_bytes()
+    assert b1 != Path(out2).read_bytes()
+    assert b1 == Path(out3).read_bytes()
 
 
 def test_config_file_drives_sweep(tmp_path):
@@ -499,7 +514,7 @@ def test_config_file_drives_sweep(tmp_path):
     assert _run("sweep", "--data", data, "--r-grid", "4,8", "--p-grid", "8",
                 "--splits", "2", "--cv", "2", "--noise-draws", "1",
                 "--seed", "17", "--out-dir", str(out2)) == 0
-    assert open(out1 / "sweep.csv", "rb").read() == open(out2 / "sweep.csv", "rb").read()
+    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
 def test_env_seed_used_when_absent(tmp_path, monkeypatch):
@@ -511,7 +526,7 @@ def test_env_seed_used_when_absent(tmp_path, monkeypatch):
     out2 = str(tmp_path / "e2.bin")
     assert _run("synth", "--a", "9", "--b", "-1", "--n", "8", "--m", "9",
                 "--seed", "123", "--out", out2) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -604,7 +619,7 @@ def test_one_config_file_drives_synth_and_sweep(tmp_path):
     )
     data = str(tmp_path / "d.bin")
     assert _run("synth", "--config", str(config), "--out", data) == 0
-    assert open(data, "rb").read() == open(_make_dataset(tmp_path, "ref.bin"), "rb").read()
+    assert Path(data).read_bytes() == Path(_make_dataset(tmp_path, "ref.bin")).read_bytes()
     out1, out2 = tmp_path / "cfg", tmp_path / "flags"
     assert _run("sweep", "--data", data, "--config", str(config), "--out-dir", str(out1)) == 0
     assert main(_sweep_args(data, out2, extra=("--seed", "7"))) == 0
@@ -674,7 +689,7 @@ def test_synth_place_and_report_manifests_record_the_blas(tmp_path):
     record = kernels.blas_record()
     for manifest in (data + ".manifest", tmp_path / "pl" / "manifest.txt",
                      tmp_path / "rep" / "manifest.txt"):
-        lines = open(manifest).read().splitlines()
+        lines = Path(manifest).read_text().splitlines()
         assert f"blas={record['blas']}" in lines
         assert f"blas-threads={record['blas-threads']}" in lines
 

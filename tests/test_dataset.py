@@ -1,5 +1,7 @@
 """Synthetic construction, splitting, spectrum utilities, matrix file I/O."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -225,7 +227,7 @@ def test_binary_byte_layout(tmp_path):
     ds = Dataset(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), "t")
     path = str(tmp_path / "layout.bin")
     save_matrix(ds, path, "binary")
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     assert blob[:4] == b"SSNS"
     assert int.from_bytes(blob[4:12], "little") == 3
     assert int.from_bytes(blob[12:20], "little") == 2

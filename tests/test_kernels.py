@@ -1,6 +1,8 @@
-"""Kernel contracts: the secular-equation sigma_min scan picks exactly the
-rows of an exhaustive stacked-eigvalsh scan, the backend stand-ins report
-the numpy path, and the BLAS thread pin nests and restores."""
+"""Kernel contracts: the blocked CPQR picks the pivots of the rank-one
+Householder loop it replaced, the secular-equation sigma_min scan picks
+exactly the rows of an exhaustive stacked-eigvalsh scan, the backend
+stand-ins report the numpy path, and the BLAS thread pin nests and
+restores."""
 
 import sys
 import threading
@@ -9,6 +11,192 @@ import numpy as np
 import pytest
 
 from sparsesense import kernels
+from sparsesense.basis import randomized_basis
+from sparsesense.dataset import SpectrumSpec, synthesize
+
+# ---------------------------------------------------------------------------
+# CPQR: the blocked kernel against the rank-one reference
+# ---------------------------------------------------------------------------
+
+NB = kernels._BLOCK
+
+
+def _rank_one_cpqr(V, k, want_q=False, stale_steps=None):
+    """Reference CPQR: one Householder reflection per step, applied at once
+    to the whole trailing matrix as a rank-one update, with the residual
+    norms downdated from the updated pivot row under the same guard.
+    Appends to ``stale_steps`` every step at which the guard fires."""
+    W = np.array(V, dtype=np.float64, order="C", copy=True)
+    r, n = W.shape
+    Q = np.eye(r) if want_q else None
+    perm = np.arange(n)
+    r_diag = np.zeros(k)
+    norms2 = np.einsum("ij,ij->j", W, W)
+    orig2 = norms2.copy()
+
+    for step in range(k):
+        best = step + int(np.argmax(norms2[step:]))
+        if best != step:
+            W[:, [step, best]] = W[:, [best, step]]
+            perm[[step, best]] = perm[[best, step]]
+            norms2[[step, best]] = norms2[[best, step]]
+            orig2[[step, best]] = orig2[[best, step]]
+
+        x = W[step:, step]
+        alpha = float(np.sqrt(np.dot(x, x)))
+        r_diag[step] = alpha
+        if alpha == 0.0:
+            continue
+
+        sign = 1.0 if x[0] >= 0.0 else -1.0
+        v = x.copy()
+        v[0] += sign * alpha
+        beta = 2.0 / float(np.dot(v, v))
+
+        W[step, step] = -sign * alpha
+        W[step + 1 :, step] = 0.0
+        if step + 1 < n:
+            block = W[step:, step + 1 :]
+            block -= np.outer(beta * v, v @ block)
+
+        if Q is not None:
+            qb = Q[:, step:]
+            qb -= np.outer(qb @ v, beta * v)
+
+        if step + 1 < n:
+            t = W[step, step + 1 :]
+            est = norms2[step + 1 :] - t * t
+            stale = (est < kernels._NORM_GUARD * orig2[step + 1 :]) | (est < 0.0)
+            if np.any(stale):
+                if stale_steps is not None:
+                    stale_steps.append(step)
+                cols = step + 1 + np.nonzero(stale)[0]
+                fresh = np.einsum("ij,ij->j", W[step + 1 :, cols], W[step + 1 :, cols])
+                est[np.nonzero(stale)[0]] = fresh
+                orig2[cols] = fresh
+            norms2[step + 1 :] = est
+
+    return perm, r_diag, W, Q
+
+
+def _assert_matches_reference(V, k, want_q=False):
+    """Same pivots as the rank-one reference, and r_diag and R to 1e-12."""
+    perm, r_diag, R, Q = kernels.cpqr_select(V, k, want_q)
+    ref_perm, ref_diag, ref_R, ref_Q = _rank_one_cpqr(V, k, want_q)
+    np.testing.assert_array_equal(perm, ref_perm)
+    np.testing.assert_allclose(r_diag, ref_diag, rtol=1e-12, atol=0.0)
+    assert np.abs(R - ref_R).max() <= 1e-12 * np.abs(ref_R).max()
+    if want_q:
+        assert np.abs(Q - ref_Q).max() <= 1e-12
+    return perm, r_diag, R, Q
+
+
+def _near_duplicate_case(seed):
+    """(V, k): a random matrix with some columns replaced by perturbed
+    copies of others, at a relative distance between 1e-14 and 1e-8."""
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(3, 40))
+    n = int(rng.integers(r, 120))
+    V = rng.standard_normal((r, n))
+    twins = int(rng.integers(1, n // 2 + 1))
+    src, dst = rng.integers(0, n, twins), rng.integers(0, n, twins)
+    eps = 10.0 ** rng.uniform(-14, -8)
+    V[:, dst] = V[:, src] + eps * rng.standard_normal((r, twins))
+    return V, int(rng.integers(1, r + 1))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cpqr_matches_the_rank_one_reference(seed):
+    # Bases of the benchmark's shape: 1024 x 600 data, its SVD modes and
+    # randomized ranges; then 50 near-duplicate-column matrices per seed.
+    X = synthesize(SpectrumSpec(1.21e5, -1.1, 512), 1024, 600, seed).X
+    U = np.linalg.svd(X, full_matrices=False)[0]
+    for r in (10, 40, 101, 150, 200):
+        _assert_matches_reference(np.ascontiguousarray(U[:, :r].T), r)
+    for r in (10, 20, 40):
+        _assert_matches_reference(randomized_basis(X, r, seed).psi.T, r)
+    for case in range(50 * seed, 50 * seed + 50):
+        _assert_matches_reference(*_near_duplicate_case(case))
+
+
+@pytest.mark.parametrize("k", [NB - 1, NB, NB + 1, 2 * NB + 3])
+def test_cpqr_block_boundaries(k):
+    V = np.random.default_rng(k).standard_normal((2 * NB + 10, 150))
+    _assert_matches_reference(V, k)
+    _assert_matches_reference(V, k, want_q=True)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-12, 1e-14])
+def test_cpqr_recomputes_stale_norms_inside_a_block(eps):
+    # Column j + 1 is a perturbed copy of column j, for j = 5 and j = 40,
+    # and the column norms fall off fast enough that each pair is pivoted
+    # mid-block, in the first and the second block. Once one of a pair is
+    # the pivot, the other's residual norm collapses to about eps, its
+    # downdated estimate fails the guard and the block ends early.
+    rng = np.random.default_rng(3)
+    r, n = 2 * NB + 10, 90
+    V = rng.standard_normal((r, n)) * 0.9 ** np.arange(n)
+    for j in (5, 40):
+        V[:, j + 1] = V[:, j] + eps * rng.standard_normal(r)
+    stale_steps = []
+    _rank_one_cpqr(V, r, stale_steps=stale_steps)
+    # (The guard fires for every column at the last step, where the
+    # residuals run out of rows.)
+    inside = [s for s in stale_steps[:-1] if s % NB not in (0, NB - 1)]
+    assert {s // NB for s in inside} == {0, 1}
+    perm = _assert_matches_reference(V, r)[0]
+    _assert_matches_reference(V, r, want_q=True)
+    # One column of each pair is a pivot; the other, left at a residual of
+    # order eps, is not.
+    pivots = set(perm[:r].tolist())
+    assert len({5, 6} & pivots) == len({40, 41} & pivots) == 1
+
+
+def test_cpqr_zero_residual_inside_a_block():
+    # Columns live in the first 5 rows, so after 5 steps every residual is
+    # exactly zero: the remaining steps, across the block boundary, take the
+    # alpha == 0 path and swap nothing, taking the columns in the order the
+    # first 5 steps left them.
+    rng = np.random.default_rng(8)
+    r, n, rank = 2 * NB, 80, 5
+    V = np.zeros((r, n))
+    V[:rank] = rng.standard_normal((rank, n))
+    perm, r_diag, _, _ = _assert_matches_reference(V, r)
+    _assert_matches_reference(V, r, want_q=True)
+    assert np.all(r_diag[:rank] > 0.0)
+    assert not np.any(r_diag[rank:])
+    np.testing.assert_array_equal(perm, kernels.cpqr_select(V, rank)[0])
+
+
+def test_cpqr_exact_zero_residuals_give_an_exact_r():
+    # Columns 1 and 2 are half of column 0, in numbers for which the first
+    # reflection is exact: after it both residuals are exactly zero, their
+    # norms fail the guard, and the 4s in row 1 are eliminated by the block's
+    # trailing update before step 1 takes the alpha == 0 path.
+    V = np.array([[6.0, 3.0, 3.0], [8.0, 4.0, 4.0], [0.0, 0.0, 0.0]])
+    perm, r_diag, R, _ = _assert_matches_reference(V, 3)
+    assert perm.tolist() == [0, 1, 2]
+    assert r_diag.tolist() == [10.0, 0.0, 0.0]
+    np.testing.assert_array_equal(R, [[-10.0, -5.0, -5.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("shape", [(2 * NB + 10, 150), (150, 2 * NB + 10)])
+def test_cpqr_factors_across_blocks(shape):
+    V = np.random.default_rng(shape[0]).standard_normal(shape)
+    k = min(shape)
+    before = V.copy()
+    perm, _, R, Q = kernels.cpqr_select(V, k, want_q=True)
+    np.testing.assert_array_equal(V, before)
+    kernels.cpqr_select(V, k)
+    np.testing.assert_array_equal(V, before)
+    assert np.linalg.norm(V[:, perm] - Q @ R) <= 1e-10 * np.linalg.norm(V)
+    np.testing.assert_allclose(Q.T @ Q, np.eye(shape[0]), atol=1e-12)
+    np.testing.assert_array_equal(np.tril(R[:, :k], -1), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Greedy sigma_min oversampling scan
+# ---------------------------------------------------------------------------
 
 
 def _exhaustive_tail(psi, prefix, count):
