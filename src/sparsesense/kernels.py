@@ -20,19 +20,28 @@ roundoff; exact ties still go to the lowest index. The delayed updates round
 the norms differently, so norms that tie to the last bit may resolve the
 other way.
 
-The sigma_min scan runs each greedy step in three phases:
+The sigma_min scan runs each greedy step in four stages:
 
-* bracket: one ``eigh`` of the current Gram matrix M turns every candidate's
-  lambda_min(M + x x^T) into the root of a rank-one secular equation, solved
-  for all candidates at once in the variable shifted by lambda_min(M);
-* prune: candidates whose upper bracket falls below the best lower bracket
-  by more than a stated tolerance are dropped;
-* confirm: when more than one candidate survives, the survivors are
-  evaluated with the stacked ``eigvalsh`` of an exhaustive scan and the
-  first maximum wins.
+* bound: one ``eigh`` of the current Gram matrix M turns every candidate's
+  lambda_min(M + x x^T) into the root of a rank-one secular equation, in
+  the variable shifted by lambda_min(M); one GEMV gives every root's upper
+  bracket at the shift 0;
+* seed: the row with the largest of these brackets is valued with the
+  ``eigvalsh`` of an exhaustive scan, which bounds the winner's value from
+  below;
+* drop: one more GEMV, at a shift twice a stated tolerance below the
+  seed's value, drops every row whose root lies at or below that shift;
+* bracket and confirm: the rows left, the seed among them, are solved by
+  root-finding from that shift, and those whose upper bracket falls below
+  the best lower bracket by more than the tolerance are pruned. When more
+  than one survives, the survivors are evaluated with the stacked
+  ``eigvalsh`` of an exhaustive scan and the first maximum wins.
 
-A step costs one n x r x r product, O(n r) per root-finding iteration and a
-few r x r eigenproblems, instead of n of them. Because the bracket error is
+A step costs one n x r x r product, two GEMVs, the ``eigh`` of M and one
+r x r ``eigvalsh``, plus root-finding on the rows left after the drop and
+an ``eigvalsh`` per confirmed survivor, instead of n eigenproblems. When
+every increment over lambda_min(M) is within twice the tolerance, nothing
+can be dropped and all rows are solved from 0. Because the bracket error is
 far below the tolerance, the exhaustive scan's pick always survives and the
 confirmation reproduces it bit for bit, ties to the lowest index included.
 The kernel micro section of a traced benchmark run
@@ -289,7 +298,7 @@ _PRUNE_RTOL = 1e-10
 _MAX_ROOT_ITERS = 64
 
 
-def _secular_brackets(z1sq, zsq, d, tol):
+def _secular_brackets(z1sq, zsq, d, tol, start):
     """Brackets [lo, hi] on the root t of each row's secular equation.
 
     With M = U diag(lam) U^T, z = U^T x and d_j = lam_j - lam_1 >= 0,
@@ -297,18 +306,19 @@ def _secular_brackets(z1sq, zsq, d, tol):
     g(t) = t (1 + phi(t)) - z_1^2 and phi(t) = sum_{j>=2} z_j^2 / (d_j - t).
     g is increasing there and h(t) = z_1^2 / (1 + phi(t)) is decreasing with
     h(t) = t at the root, so every evaluation brackets the root from both
-    sides: [h(t), t] when g(t) >= 0, [t, h(t)] otherwise. The next iterate is
-    the root of a rational model that keeps the pole at 0 exact and fits phi
-    by P / (d_2 - t) + Q through its value and slope (Bunch, Nielsen &
-    Sorensen 1978), with a bisection fallback when it leaves the bracket.
-    Rows are dropped from the iteration once their bracket is narrower than
-    tol or tops out below the best lower bracket minus tol, and the loop ends
-    when a single row can still win.
+    sides: [h(t), t] when g(t) >= 0, [t, h(t)] otherwise. Every row's root
+    must lie in [start, d_2], and the iteration starts there at t = start.
+    The next iterate is the root of a rational model that keeps the pole at
+    0 exact and fits phi by P / (d_2 - t) + Q through its value and slope
+    (Bunch, Nielsen & Sorensen 1978), with a bisection fallback when it
+    leaves the bracket. Rows are dropped from the iteration once their
+    bracket is narrower than tol or tops out below the best lower bracket
+    minus tol, and the loop ends when a single row can still win.
     """
     c = z1sq.size
     d2 = d[0]
-    lo, hi, t = np.zeros(c), np.full(c, d2), np.zeros(c)
-    best = 0.0
+    lo, hi, t = np.full(c, start), np.full(c, d2), np.full(c, start)
+    best = start
     act = np.arange(c)
     for _ in range(_MAX_ROOT_ITERS):
         ta, z1a = t[act], z1sq[act]
@@ -340,6 +350,14 @@ def _sigma_min_survivors(M, rows):
     Always contains the exhaustive scan's pick: a row is dropped only when
     its upper bracket lies more than the stated tolerance below another
     row's lower bracket.
+
+    The row with the largest upper bracket h(0) is the seed. Its
+    lambda_min, computed as the exhaustive scan computes it, is a lower
+    bracket on the winner's, so the shift te = lambda_min - lam_1 - 2 tol
+    sits more than tol below the best lower bracket. A row with g(te) >= 0
+    has its root at or below te and is dropped; the rest, the seed among
+    them, start their brackets at te. When te <= 0 no row can be dropped
+    this way and every row starts at 0.
     """
     lam, U = np.linalg.eigh(M)
     zsq = np.square(rows @ U)
@@ -348,14 +366,25 @@ def _sigma_min_survivors(M, rows):
     tol = _PRUNE_RTOL * (np.abs(lam).max() + (z1sq + zsq.sum(axis=1)).max())
     if d.size == 0:
         # r = 1: the update is the scalar lam_1 + x^2.
-        lo = hi = z1sq
-    elif d[0] <= 0.0:
+        return np.nonzero(z1sq >= z1sq.max() - tol)[0]
+    if d[0] <= 0.0:
         # A repeated lam_1 survives every rank-one update; only the exact
         # arithmetic can order the rows.
         return np.arange(rows.shape[0])
+    seed = int(np.argmax(z1sq / (1.0 + zsq @ (1.0 / d))))
+    x = rows[seed]
+    te = float(np.linalg.eigvalsh(M + np.outer(x, x))[0] - lam[0]) - 2.0 * tol
+    if te > 0.0:
+        alive = te * (1.0 + zsq @ (1.0 / (d - te))) < z1sq
+        # The seed's root lies 2 tol above te, far beyond rounding; keeping
+        # it regardless makes the winner's lower bracket certain to be seen.
+        alive[seed] = True
+        idx = np.flatnonzero(alive)
+        z1sq, zsq = z1sq[idx], zsq[idx]
     else:
-        lo, hi = _secular_brackets(z1sq, zsq, d, tol)
-    return np.nonzero(hi >= lo.max() - tol)[0]
+        idx, te = np.arange(rows.shape[0]), 0.0
+    lo, hi = _secular_brackets(z1sq, zsq, d, tol, te)
+    return idx[hi >= lo.max() - tol]
 
 
 def sigma_min_tail(psi: np.ndarray, prefix: np.ndarray, count: int) -> np.ndarray:
@@ -364,18 +393,27 @@ def sigma_min_tail(psi: np.ndarray, prefix: np.ndarray, count: int) -> np.ndarra
     Each step appends the remaining row x that maximizes lambda_min(M + x x^T),
     M being the Gram matrix of the rows chosen so far (equivalently sigma_min
     of the grown measurement matrix); ties go to the lowest row index. A step
-    brackets every candidate's lambda_min through the secular equation of the
-    rank-one update and prunes the candidates that cannot win. A lone
-    survivor is the pick; several are confirmed with a stacked ``eigvalsh``
-    of M + x x^T, the arithmetic of an exhaustive scan. The picks are
-    therefore the exhaustive scan's picks, and the greedy is
-    prefix-consistent: the first j of `count` picks are the picks for
-    count = j.
+    values one seed row exactly, drops with one GEMV every candidate whose
+    lambda_min the seed's beats by more than a stated tolerance, and
+    brackets the rest through the secular equation of the rank-one update
+    until only the candidates that may win are left. A lone survivor is the
+    pick; several are confirmed with a stacked ``eigvalsh`` of M + x x^T,
+    the arithmetic of an exhaustive scan. The picks are therefore the
+    exhaustive scan's picks, and the greedy is prefix-consistent: the first
+    j of `count` picks are the picks for count = j.
+
+    Raises ValueError unless 0 <= count <= the number of rows outside
+    prefix.
     """
     psi = np.ascontiguousarray(psi, dtype=np.float64)
     n = psi.shape[0]
     selected = np.zeros(n, dtype=np.bool_)
     selected[prefix] = True
+    free = n - int(np.count_nonzero(selected))
+    if not 0 <= count <= free:
+        raise ValueError(
+            f"count must be between 0 and {free} (the rows outside prefix), got {count}"
+        )
     base = psi[prefix]
     M = np.ascontiguousarray(base.T @ base)
     out = np.empty(count, dtype=np.int64)

@@ -148,12 +148,14 @@ def oversample_sigma_min(basis: Basis, p: int) -> SensorPlan:
     grown measurement matrix (ties to the lowest row index).
 
     Each step picks exactly the row an exhaustive scan over the remaining
-    candidates would. Secular-equation brackets on every candidate's
-    lambda_min prune all but the few that can win, and those few are
-    confirmed with the exhaustive scan's own eigvalsh arithmetic (see
+    candidates would. One seed row is valued exactly, one GEMV drops every
+    candidate it beats by more than a stated tolerance, secular-equation
+    brackets on the few left prune all but those that can win, and those
+    are confirmed with the exhaustive scan's own eigvalsh arithmetic (see
     :func:`sparsesense.kernels.sigma_min_tail`). A step costs one n x r x r
-    product plus a few r x r eigenproblems, still far more than a random
-    draw.
+    product, two GEMVs and one r x r eigvalsh besides the eigh of the Gram
+    matrix, plus root-finding on the rows left, still far more than a
+    random draw.
     """
     _check_oversample(basis, p)
     return plan_with_modes(basis, p, "odeim-e")

@@ -169,11 +169,27 @@ def test_c05_randomized_basis_peak(desk_medium):
     )
 
 
-def test_c06_sigma_min_oversampling_quality_and_cost():
+def _count_eig_problems(patch):
+    """Make numpy.linalg.eigh/eigvalsh count the symmetric eigenproblems they
+    solve, each matrix of a stack as one; returns the one-element count."""
+    solved = [0]
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+
+        def counted(a, *args, _solve=solve, **kwargs):
+            solved[0] += int(np.prod(np.shape(a)[:-2]))
+            return _solve(a, *args, **kwargs)
+
+        patch.setattr(np.linalg, name, counted)
+    return solved
+
+
+def test_c06_sigma_min_oversampling_quality_and_cost(monkeypatch):
     start = time.perf_counter()
     smin = lambda A: float(np.linalg.svd(A, compute_uv=False)[-1])
     s_random, s_greedy = [], []
     t_random = t_greedy = 0.0
+    eig_random = eig_greedy = 0
     for t in range(20):
         X = ss.gaussian_matrix(256, 300, seed=5000 + t)
         basis = ss.svd_basis(X, 16)
@@ -186,13 +202,24 @@ def test_c06_sigma_min_oversampling_quality_and_cost():
         t_greedy += time.perf_counter() - t0
         s_random.append(smin(basis.psi[np.concatenate([prefix, tail_r])]))
         s_greedy.append(smin(basis.psi[np.concatenate([prefix, tail_g])]))
+        # The same tails again, outside the clock, counting r x r
+        # eigenproblems: the greedy solves at least one per step.
+        with monkeypatch.context() as patch:
+            solved = _count_eig_problems(patch)
+            _random_tail(256, prefix, 16, seed=t)
+            eig_random += solved[0]
+            solved[0] = 0
+            kernels.sigma_min_tail(basis.psi, prefix, 16)
+            eig_greedy += solved[0]
     med_g, med_r = float(np.median(s_greedy)), float(np.median(s_random))
     ratio = t_greedy / t_random
     elapsed = time.perf_counter() - start
     ok = med_g >= med_r and ratio >= 10.0 and elapsed < 180.0
+    ok = ok and eig_random == 0 and eig_greedy >= 20 * 16
     _verdict(
         "C06 sigma-min-oversampling", ok, elapsed,
-        f"median smin {med_g:.4f} vs {med_r:.4f}; tail cost ratio {ratio:.0f}x",
+        f"median smin {med_g:.4f} vs {med_r:.4f}; tail cost ratio {ratio:.0f}x; "
+        f"eigenproblems {eig_greedy} greedy vs {eig_random} random",
     )
 
 

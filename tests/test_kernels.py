@@ -234,6 +234,16 @@ def _hard_case(kind, seed):
         psi *= np.logspace(0, -12, r)
     elif kind == "zero":
         psi[:] = 0.0
+    elif kind == "near-tie":
+        # Every row has a twin 1e-13 away, so each winner ties with its twin
+        # far inside the pruning tolerance.
+        half = n // 2
+        psi[half : 2 * half] = psi[:half] * (1.0 + 1e-13 * rng.standard_normal((half, r)))
+    elif kind == "flat-direction":
+        # One direction 1e-7 weak: once M is well posed in the others, no row
+        # can raise lambda_min by more than about 1e-14, far below the
+        # pruning tolerance.
+        psi[:, -1] *= 1e-7
     prefix = rng.permutation(n)[: int(rng.integers(0, r + 2))]
     if kind == "full-count":
         count = n - prefix.size
@@ -244,7 +254,10 @@ def _hard_case(kind, seed):
 
 @pytest.mark.parametrize(
     "kind",
-    ["random", "rank-deficient", "duplicate-rows", "graded", "r-one", "zero", "full-count"],
+    [
+        "random", "rank-deficient", "duplicate-rows", "graded", "r-one", "zero",
+        "full-count", "near-tie", "flat-direction",
+    ],
 )
 @pytest.mark.parametrize("seed", range(6))
 def test_sigma_min_tail_matches_exhaustive_scan(kind, seed):
@@ -253,14 +266,89 @@ def test_sigma_min_tail_matches_exhaustive_scan(kind, seed):
     np.testing.assert_array_equal(got, _exhaustive_tail(psi, prefix, count))
 
 
-def test_sigma_min_tail_matches_exhaustive_scan_on_orthonormal_modes():
+def _record_scan(monkeypatch):
+    """Events of the sigma_min scan, in order: ("brackets", rows, start) for
+    each secular iteration and ("confirm", rows) for each stacked eigvalsh."""
+    events = []
+    brackets, eigvalsh = kernels._secular_brackets, np.linalg.eigvalsh
+
+    def spy_brackets(z1sq, zsq, d, tol, start):
+        events.append(("brackets", z1sq.size, start))
+        return brackets(z1sq, zsq, d, tol, start)
+
+    def spy_eigvalsh(a):
+        if a.ndim == 3:
+            events.append(("confirm", a.shape[0]))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(kernels, "_secular_brackets", spy_brackets)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
+    return events
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sigma_min_tail_near_ties_reach_the_confirmation(monkeypatch, seed):
+    # Rows pass the single-shift drop together, start their brackets above
+    # 0 and still tie, so several go on to the stacked eigvalsh.
+    psi, prefix, count = _hard_case("near-tie", seed)
+    events = _record_scan(monkeypatch)
+    kernels.sigma_min_tail(psi, prefix, count)
+    assert any(
+        prev[0] == "brackets" and prev[2] > 0.0 and event[0] == "confirm" and event[1] > 1
+        for prev, event in zip(events, events[1:])
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sigma_min_tail_tiny_increments_start_at_zero(monkeypatch, seed):
+    # Every increment over lambda_1 is below twice the tolerance, so no row
+    # can be dropped at the seed's shift and every row starts at t = 0.
+    psi, prefix, count = _hard_case("flat-direction", seed)
+    events = _record_scan(monkeypatch)
+    kernels.sigma_min_tail(psi, prefix, count)
+    # The last step, at the latest, brackets all its candidates from 0.
+    left = psi.shape[0] - np.unique(prefix).size - (count - 1)
+    assert ("brackets", left, 0.0) in events
+
+
+@pytest.fixture(scope="module")
+def benchmark_modes():
+    """Left singular vectors of the benchmark's 1024 x 600 synthetic data."""
+    X = synthesize(SpectrumSpec(1.21e5, -1.1, 512), 1024, 600, 0).X
+    return np.linalg.svd(X, full_matrices=False)[0]
+
+
+@pytest.mark.parametrize("r", [10, 20, 40])
+def test_sigma_min_tail_matches_exhaustive_scan_at_the_benchmark_cells(benchmark_modes, r):
+    # The sweep-odeim cells: SVD modes of 1024-row synthetic data, a CPQR
+    # prefix and the tail up to p = 80.
+    psi = np.ascontiguousarray(benchmark_modes[:, :r])
+    prefix = kernels.cpqr_select(psi.T, r)[0][:r]
+    got = kernels.sigma_min_tail(psi, prefix, 80 - r)
+    np.testing.assert_array_equal(got, _exhaustive_tail(psi, prefix, 80 - r))
+
+
+@pytest.mark.parametrize("count", [-1, 8])
+def test_sigma_min_tail_rejects_counts_outside_the_free_rows(count):
+    psi = np.random.default_rng(0).standard_normal((10, 3))
+    with pytest.raises(ValueError, match=r"between 0 and 7 .* got " + str(count)):
+        kernels.sigma_min_tail(psi, np.array([0, 1, 2]), count)
+
+
+def test_sigma_min_tail_matches_exhaustive_scan_on_orthonormal_modes(monkeypatch):
     # The sweep's shape: leading left singular vectors, CPQR prefix, p = 2r.
     rng = np.random.default_rng(17)
     X = rng.standard_normal((400, 60)) * np.logspace(0, -3, 60)
     psi = np.linalg.svd(X, full_matrices=False)[0][:, :12]
     prefix = kernels.cpqr_select(psi.T, 12)[0][:12]
+    events = _record_scan(monkeypatch)
     got = kernels.sigma_min_tail(psi, prefix, 24)
     np.testing.assert_array_equal(got, _exhaustive_tail(psi, prefix, 24))
+    # Every step drops rows at the seed's shift and brackets only a few of
+    # its 370-odd candidates, from that shift.
+    brackets = [e for e in events if e[0] == "brackets"]
+    assert len(brackets) == 24
+    assert all(rows < 100 and start > 0.0 for _, rows, start in brackets)
 
 
 def test_sigma_min_tail_is_prefix_consistent():
