@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import os
 import sys
 import tempfile
@@ -99,6 +100,13 @@ def _parse_threads(text: str) -> int:
     if threads < 1:
         raise _UsageError(f"--threads must be >= 1, got {threads}")
     return threads
+
+
+def _parse_band(text: str) -> float:
+    band = float(text)
+    if not (math.isfinite(band) and band >= 0):
+        raise ValueError(text)
+    return band
 
 
 def _library_default(owner, name: str):
@@ -194,7 +202,7 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
         Option("level-exp", float, _protocol("level_exp")),
         Option("steps", int, _protocol("composition_steps")),
         Option("assignment", default=_protocol("assignment"), choices=ASSIGNMENTS),
-        Option("band", float, _library_default(classify_composition_sweep, "band")),
+        Option("band", _parse_band, _library_default(classify_composition_sweep, "band")),
     )
     + _PROTOCOL
     + (Option("tag-b"), Option("tag-noise"), Option("tag-counts")),

@@ -4,14 +4,16 @@ Single seeded trials, mode/sensor sweeps, multi-fidelity composition sweeps,
 and regime classification. Every trial seed is derived from (master seed,
 split index, placement-CV index, noise index) with an avalanche-quality
 mixer, so results are pure functions of the configuration and independent of
-execution schedule. The optional cache memoizes per-split work: splits, with
-a row-major copy of the test snapshots; bases, where an SVD sweep computes
-one SVD basis of every mode per split and each per-r basis is a view of its
-leading columns; pivots; and the longest odeim-e plan of each r. While a
-sweep runs the trials that share one sensor plan, it also memoizes what is
-fixed for that plan: the plan itself, the per-sensor noise levels, the
-measurement matrix Theta and its factorization. Both are pure accelerators,
-so results are bit-for-bit those of a fresh cache.
+execution schedule. The optional cache memoizes per-split work in two
+records. One per split holds the split, with a row-major copy of the test
+snapshots, the training variance, ||X_test|| and, for SVD sweeps, the SVD
+basis of every mode. One per (split, r) holds the basis (for SVD sweeps a
+view of the split's leading modes), its CPQR pivots and the longest odeim-e
+plan built so far. While a sweep runs the trials that share one sensor plan,
+it also memoizes what is fixed for that plan: the plan itself, the
+per-sensor noise levels, the measurement matrix Theta and its
+factorization. Both are pure accelerators, so results are bit-for-bit those
+of a fresh cache.
 
 Every sensor plan, in a sweep as in a single trial, comes from
 :func:`placement.plan_with_modes`, given the cached pivots.
@@ -91,11 +93,11 @@ def fractional_error(X, Xhat) -> float:
 class ExperimentConfig:
     """Everything a sweep needs, with a single master seed.
 
-    Noise levels are variance fractions of the training data's overall
-    variance (recomputed per split); single-fidelity sweeps use level_cheap
-    for every sensor. Counts follow the protocol: n_splits random train/test
-    partitions, each with n_placement_cv re-draws of the random oversampling
-    tail and n_noise noise realizations.
+    Noise levels are finite, non-negative variance fractions of the training
+    data's overall variance (recomputed per split); single-fidelity sweeps
+    use level_cheap for every sensor. Counts follow the protocol: n_splits
+    random train/test partitions, each with n_placement_cv re-draws of the
+    random oversampling tail and n_noise noise realizations.
     """
 
     dataset: Dataset
@@ -121,6 +123,8 @@ class ExperimentConfig:
             raise ValueError("trial counts must all be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.level_cheap, self.level_exp)):
+            raise ValueError("noise levels must be finite and non-negative")
         if self.level_exp > self.level_cheap:
             raise ValueError("level_exp must not exceed level_cheap")
         if self.composition_steps < 2:
@@ -198,20 +202,15 @@ def pooled_standard_error(a, b) -> float:
 
 
 class _SweepCache:
-    """Sweep memo. Purely an accelerator: results with and without it are
-    identical because every entry is a deterministic function of the
-    configuration.
+    """Sweep memo for one configuration. Purely an accelerator: results with
+    and without it are identical because every entry is a deterministic
+    function of the configuration, so its keys carry no basis kind or seed.
 
-    Per-split entries live as long as the cache: splits with their test-set
-    norms, bases, pivots and the longest odeim-e plan of each r. An SVD
-    sweep keeps one SVD basis of every mode per split (``svd_modes``); its
-    per-r bases are views of that basis's leading columns, not copies. A
-    split's test snapshots are held as one row-major array, the order in
-    which trials gather sensor rows and subtract estimates.
-
-    In a sweep, ``splits`` and ``svd_modes`` are filled on the calling
-    thread before the pool starts and only read after; every other entry is
-    keyed by (split, r) and written only by the task that owns that pair.
+    ``splits[s]`` is split s's :class:`_SplitRecord` and ``pairs[(s, r)]``
+    the :class:`_PairRecord` of split s at r modes; both live as long as the
+    cache. In a sweep, ``splits`` is filled on the calling thread before the
+    pool starts and only read after; each ``pairs`` entry is written only by
+    the task that owns that (split, r).
 
     ``solves`` maps a trial's :func:`_solve_key` to the memo of its plan:
     :func:`run_trial` stores the plan and the per-sensor sigmas in it on the
@@ -224,14 +223,36 @@ class _SweepCache:
 
     def __init__(self):
         self.splits: dict = {}
-        self.svd_modes: dict = {}
-        self.bases: dict = {}
-        self.pivot_orders: dict = {}
-        self.greedy_plans: dict = {}
+        self.pairs: dict = {}
         self.solves: dict = {}
 
 
-def _get_split(config, cache, split_idx):
+@dataclass(frozen=True)
+class _SplitRecord:
+    """One split: the training set; the test snapshots as one row-major
+    array, the order in which trials gather sensor rows and subtract
+    estimates; the training data's overall variance; ||test||_F, never 0;
+    and for SVD sweeps the SVD basis of every mode, whose column prefixes
+    are the split's bases."""
+
+    train: np.ndarray
+    test: np.ndarray
+    variance: float
+    test_norm: float
+    modes: Basis | None
+
+
+@dataclass
+class _PairRecord:
+    """One split at r modes: the basis, its first min(r, n) CPQR pivots and
+    the longest odeim-e plan built so far."""
+
+    basis: Basis
+    pivots: np.ndarray
+    greedy: SensorPlan | None = None
+
+
+def _get_split(config, cache, split_idx) -> _SplitRecord:
     hit = cache.splits.get(split_idx)
     if hit is None:
         sd = split(
@@ -242,63 +263,40 @@ def _get_split(config, cache, split_idx):
         # np.linalg.norm sums in memory order, so take it of the split's own
         # (column-gathered) array; then keep only a row-major copy.
         test_norm = float(np.linalg.norm(sd.test))
-        sd = replace(sd, test=np.ascontiguousarray(sd.test))
-        hit = (sd, overall_variance(sd.train), test_norm)
+        if test_norm == 0.0:
+            raise ValueError("reference matrix has zero norm")
+        train, test = sd.train, np.ascontiguousarray(sd.test)
+        del sd  # frees the column-gathered test set before the SVD
+        modes = svd_basis(train, min(train.shape)) if config.basis_kind == "svd" else None
+        hit = _SplitRecord(train, test, overall_variance(train), test_norm, modes)
         cache.splits[split_idx] = hit
     return hit
 
 
-def _get_svd_modes(config, cache, split_idx) -> Basis:
-    """SVD basis of every mode of the split's training set; the sweep's SVD
-    bases are its column prefixes."""
-    modes = cache.svd_modes.get(split_idx)
-    if modes is None:
-        train = _get_split(config, cache, split_idx)[0].train
-        modes = svd_basis(train, min(train.shape))
-        cache.svd_modes[split_idx] = modes
-    return modes
-
-
-def _get_basis(config, cache, split_idx, r) -> Basis:
-    key = (split_idx, config.basis_kind, r)
-    basis = cache.bases.get(key)
-    if basis is None:
-        if config.basis_kind == "svd":
-            basis = truncate_basis(_get_svd_modes(config, cache, split_idx), r)
+def _get_pair(config, cache, split_idx, r) -> _PairRecord:
+    pair = cache.pairs.get((split_idx, r))
+    if pair is None:
+        sd = _get_split(config, cache, split_idx)
+        if sd.modes is not None:
+            basis = truncate_basis(sd.modes, r)
         else:
-            basis = randomized_basis(
-                _get_split(config, cache, split_idx)[0].train,
-                r,
-                derive_seed(config.master_seed, _TAG_BASIS, split_idx),
-            )
-        cache.bases[key] = basis
-    return basis
+            seed = derive_seed(config.master_seed, _TAG_BASIS, split_idx)
+            basis = randomized_basis(sd.train, r, seed)
+        pair = _PairRecord(basis, qr_pivots(basis, min(r, basis.n)).locations)
+        cache.pairs[split_idx, r] = pair
+    return pair
 
 
-def _get_pivot_order(config, cache, split_idx, r) -> np.ndarray:
-    key = (split_idx, config.basis_kind, r)
-    order = cache.pivot_orders.get(key)
-    if order is None:
-        basis = _get_basis(config, cache, split_idx, r)
-        order = qr_pivots(basis, min(r, basis.n)).locations
-        cache.pivot_orders[key] = order
-    return order
-
-
-def _get_plan(config, cache, split_idx, cv_idx, r, p) -> SensorPlan:
-    basis = _get_basis(config, cache, split_idx, r)
-    pivots = _get_pivot_order(config, cache, split_idx, r)
+def _get_plan(config, pair, split_idx, cv_idx, p) -> SensorPlan:
+    basis, pivots = pair.basis, pair.pivots
     oversample = config.policy.oversample
     if oversample == "odeim-e" and p > pivots.size:
         # The greedy is prefix-consistent, so the longest plan of a
         # (split, r) serves every p; a longer request recomputes it as a
         # fresh cache would.
-        key = (split_idx, config.basis_kind, r)
-        plan = cache.greedy_plans.get(key)
-        if plan is None or plan.p < p:
-            plan = plan_with_modes(basis, p, oversample, pivots=pivots)
-            cache.greedy_plans[key] = plan
-        return SensorPlan(plan.locations[:p], plan.method, r)
+        if pair.greedy is None or pair.greedy.p < p:
+            pair.greedy = plan_with_modes(basis, p, oversample, pivots=pivots)
+        return SensorPlan(pair.greedy.locations[:p], pair.greedy.method, basis.r)
     seed = derive_seed(config.master_seed, _TAG_PLACEMENT, split_idx, cv_idx)
     return plan_with_modes(basis, p, oversample, seed, pivots)
 
@@ -320,7 +318,8 @@ def _solve_key(config, comp, split_idx, cv_idx, r, p) -> tuple:
 
 
 def _resolve_cell(config, cell):
-    """Normalize an (r, p) pair or a Composition into (r, p, composition)."""
+    """Normalize an (r, p) pair or a Composition into (r, p, composition);
+    the composition of an (r, p) pair is None."""
     n = config.dataset.n
     max_svd_modes = min(n, config.m_train)
     if isinstance(cell, Composition):
@@ -348,8 +347,9 @@ def _resolve_cell(config, cell):
 def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
     """Fractional reconstruction error of one fully seeded trial.
 
-    cell is either an (r, p) pair (single fidelity at level_cheap) or a
-    Composition. Identical inputs give identical output on one platform.
+    cell is either an (r, p) pair, single fidelity: the plan's p sensors as
+    Composition(p, 0), all at level_cheap; or a Composition. Identical
+    inputs give identical output on one platform.
     """
     for idx, bound, what in (
         (split_idx, config.n_splits, "split_idx"),
@@ -361,19 +361,15 @@ def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
     cache = cache if cache is not None else _SweepCache()
     r, p, comp = _resolve_cell(config, cell)
     with kernels.single_blas_thread():
-        sd, ref_var, test_norm = _get_split(config, cache, split_idx)
-        basis = _get_basis(config, cache, split_idx, r)
+        sd = _get_split(config, cache, split_idx)
+        pair = _get_pair(config, cache, split_idx, r)
         memo = cache.solves.get(_solve_key(config, comp, split_idx, cv_idx, r, p))
         if memo is not None and "plan" in memo:
             plan, sigmas = memo["plan"]
         else:
-            plan = _get_plan(config, cache, split_idx, cv_idx, r, p)
-            if comp is not None:
-                noise = NoiseModel(config.level_cheap, config.level_exp, ref_var)
-                sigmas = assign_fidelities(plan, comp, noise)
-            else:
-                noise = NoiseModel(config.level_cheap, config.level_cheap, ref_var)
-                sigmas = np.full(p, noise.sigma_cheap)
+            plan = _get_plan(config, pair, split_idx, cv_idx, p)
+            noise = NoiseModel(config.level_cheap, config.level_exp, sd.variance)
+            sigmas = assign_fidelities(plan, comp or Composition(p, 0), noise)
             if memo is not None:
                 memo["plan"] = plan, sigmas
         Y = noisy_measure(
@@ -382,37 +378,31 @@ def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
             sigmas,
             derive_seed(config.master_seed, _TAG_NOISE, split_idx, cv_idx, noise_idx),
         )
-        Xhat = reconstruct(basis, plan, Y, memo=memo)
-        return _error_in_place(sd.test, Xhat, test_norm)
-
-
-def _error_in_place(X, Xhat, x_norm: float) -> float:
-    """:func:`fractional_error` of an estimate the caller owns, given
-    x_norm = ||X||_F: Xhat is overwritten with Xhat - X instead of building
-    X - Xhat, which has the same norm bit for bit."""
-    if x_norm == 0.0:
-        raise ValueError("reference matrix has zero norm")
-    Xhat -= X
-    return float(np.linalg.norm(Xhat) / x_norm)
+        # The estimate is the trial's own, so it becomes Xhat - X in place:
+        # the norm of X - Xhat bit for bit.
+        Xhat = reconstruct(pair.basis, plan, Y, memo=memo)
+        Xhat -= sd.test
+        return float(np.linalg.norm(Xhat) / sd.test_norm)
 
 
 def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
     """Errors of every trial of every cell, each in (split, cv, noise) order.
 
-    Every split, and for SVD bases its SVD basis of every mode, is built on
-    the calling thread first. Then one task per (split, r), largest r first,
-    builds that pair's basis, CPQR pivots and, for odeim-e, the plan at the
-    largest p of its cells, and runs its cells' plan groups: each group
-    opens its plan's solve memo, runs the cell's trials that share the plan
-    in (cv, noise) order, writing each error by index, and drops the memo,
-    so each Theta is factored once per cell. A repeated cell is run once.
+    Every split record, with its SVD basis of every mode for SVD bases, is
+    built on the calling thread first. Then one task per (split, r), largest
+    r first, builds that pair's record (basis and CPQR pivots) and, for
+    odeim-e, the plan at the largest p of its cells, and runs its cells'
+    plan groups: each group opens its plan's solve memo, runs the cell's
+    trials that share the plan in (cv, noise) order, writing each error by
+    index, and drops the memo, so each Theta is factored once per cell. A
+    repeated cell is run once.
 
     The tasks go to one pool of min(threads, cpu count) workers; threads = 1
-    runs them in order on the calling thread. The pool only reads the
-    splits and their SVD bases, and each task is the only writer of its
-    pair's cache entries, so results do not depend on the schedule. An
-    error or an interrupt ends the sweep now: queued tasks are cancelled and
-    running ones stop before their next plan group.
+    runs them in order on the calling thread. The pool only reads the split
+    records, and each task is the only writer of its pair's record, so
+    results do not depend on the schedule. An error or an interrupt ends the
+    sweep now: queued tasks are cancelled and running ones stop before
+    their next plan group.
     """
     cache = _SweepCache()
     splits, n_cv, n_noise = range(config.n_splits), config.n_placement_cv, config.n_noise
@@ -424,10 +414,10 @@ def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
     stop = threading.Event()
 
     def run_task(s, r):
-        _get_pivot_order(config, cache, s, r)
+        pair = _get_pair(config, cache, s, r)
         longest = max(p for p, *_ in by_r[r])
-        if config.policy.oversample == "odeim-e" and longest > min(r, config.dataset.n):
-            _get_plan(config, cache, s, 0, r, longest)
+        if config.policy.oversample == "odeim-e" and longest > pair.pivots.size:
+            _get_plan(config, pair, s, 0, longest)
         for p, comp, cell, out in by_r[r]:
             varies = _plan_varies_with_cv(config, r, p)
             for cvs in [[c] for c in range(n_cv)] if varies else [range(n_cv)]:
@@ -447,8 +437,6 @@ def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
     with kernels.single_blas_thread():
         for s in splits:
             _get_split(config, cache, s)
-            if config.basis_kind == "svd":
-                _get_svd_modes(config, cache, s)
         workers = min(threads, os.cpu_count() or 1)
         if workers == 1:
             for task in tasks:
@@ -469,6 +457,11 @@ def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
 def _check_threads(threads) -> None:
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+
+
+def _check_band(band) -> None:
+    if not (math.isfinite(band) and band >= 0):
+        raise ValueError(f"band must be finite and non-negative, got {band}")
 
 
 def _summarize(errors: np.ndarray) -> tuple[float, float]:
@@ -546,7 +539,9 @@ def min_error_curve(
 
 def classify_regime(err_all_cheap: float, err_all_exp: float, band: float = 0.02) -> str:
     """Which endpoint wins, or inconclusive when the errors differ by less
-    than the band (absolute difference in fractional error)."""
+    than the band (absolute difference in fractional error; finite and
+    non-negative)."""
+    _check_band(band)
     if err_all_cheap < 0 or err_all_exp < 0:
         raise ValueError("errors must be non-negative")
     if abs(err_all_cheap - err_all_exp) < band:
@@ -557,6 +552,7 @@ def classify_regime(err_all_cheap: float, err_all_exp: float, band: float = 0.02
 def classify_composition_sweep(mean_errors, band: float = 0.02) -> str:
     """Endpoint classification, upgraded to mixed-best when some interior
     composition beats both endpoints by more than the band."""
+    _check_band(band)
     means = [float(v) for v in mean_errors]
     if len(means) < 2:
         raise ValueError("need at least the two endpoint compositions")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from sparsesense import kernels
+from sparsesense import evaluation, kernels
 from sparsesense.basis import randomized_basis, svd_basis
 from sparsesense.cli import OPTIONS, main, parse_mf_csv, parse_sweep_csv
 from sparsesense.dataset import Dataset, load_matrix, save_matrix
@@ -341,6 +341,26 @@ def test_sweep_on_all_zero_data_is_a_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("sweep", "noise-level", "nan"),
+    ("sweep", "noise-level", "-1"),
+    ("mf", "level-cheap", "inf"),
+    ("mf", "level-exp", "-0.01"),
+])
+def test_bad_noise_levels_are_data_errors_before_any_split(
+    tmp_path, capsys, monkeypatch, command, flag, value
+):
+    data = _make_dataset(tmp_path)
+    out = tmp_path / "out"
+    args = (_sweep_args if command == "sweep" else _mf_args)(data, out)
+    splits = []
+    monkeypatch.setattr(evaluation, "split", lambda *args: splits.append(args))
+    capsys.readouterr()
+    assert main(args + [f"--{flag}", value]) == 65
+    assert "noise levels must be finite and non-negative" in capsys.readouterr().err
+    assert splits == [] and not out.exists()
+
+
 @pytest.mark.parametrize("oversample", ["random", "odeim-e"])
 @pytest.mark.parametrize("basis", ["svd", "randomized"])
 def test_place_on_all_zero_data_is_a_data_error(tmp_path, capsys, basis, oversample):
@@ -560,6 +580,9 @@ def _valid_args(command, data, out):
     ("mf", "basis", "foo"),
     ("mf", "oversample", "x"),
     ("mf", "assignment", "middle"),
+    ("mf", "band", "-1"),
+    ("mf", "band", "nan"),
+    ("mf", "band", "inf"),
 ])
 def test_bad_values_are_usage_errors_from_flags_and_config_files(
     tmp_path, capsys, source, command, flag, value

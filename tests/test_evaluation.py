@@ -10,7 +10,7 @@ import pytest
 
 from sparsesense import evaluation, kernels
 from sparsesense.basis import Basis, svd_basis
-from sparsesense.dataset import Dataset, SpectrumSpec, split, synthesize
+from sparsesense.dataset import Dataset, SpectrumSpec, overall_variance, split, synthesize
 from sparsesense.evaluation import (
     CellResult,
     ExperimentConfig,
@@ -23,12 +23,13 @@ from sparsesense.evaluation import (
     run_trial,
     sweep_modes_sensors,
 )
-from sparsesense.multifidelity import Composition, budget_from_endpoints
+from sparsesense.multifidelity import Composition, budget_from_endpoints, noisy_measure
 from sparsesense.placement import (
     PlacementPolicy,
     SensorPlan,
     oversample_random,
     oversample_sigma_min,
+    plan_with_modes,
     qr_pivots,
 )
 from sparsesense.seeding import derive_seed
@@ -400,6 +401,21 @@ def test_classify_composition_band_is_configurable():
     assert classify_composition_sweep([0.30, 0.10, 0.32], band=0.25) == "inconclusive"
 
 
+@pytest.mark.parametrize("band", [-1.0, -1e-300, float("nan"), float("inf")])
+def test_classifiers_reject_a_negative_or_non_finite_band(band):
+    with pytest.raises(ValueError, match="band must be finite and non-negative"):
+        classify_regime(0.1, 0.105, band=band)
+    # Mixed-best is decided before the endpoints are compared.
+    with pytest.raises(ValueError, match="band must be finite and non-negative"):
+        classify_composition_sweep([0.1, 0.5, 0.1], band=band)
+
+
+def test_a_zero_band_decides_every_unequal_pair():
+    assert classify_regime(0.1, 0.2, band=0.0) == "cheap"
+    assert classify_regime(0.2, 0.1, band=0.0) == "expensive"
+    assert classify_composition_sweep([0.3, 0.2, 0.3], band=0.0) == "mixed-best"
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
@@ -415,6 +431,21 @@ def test_config_rejects_bad_values():
         ExperimentConfig(dataset=ds, level_cheap=0.01, level_exp=0.02)
     with pytest.raises(ValueError):
         ExperimentConfig(dataset=ds, train_fraction=1.0)
+
+
+@pytest.mark.parametrize("levels", [
+    (-1.0, -2.0), (0.02, -0.01), (0.0, -1e-300),
+    (float("nan"), 0.01), (0.02, float("nan")), (float("inf"), 0.01), (float("inf"), float("inf")),
+])
+def test_config_rejects_negative_or_non_finite_noise_levels(levels):
+    ds = _rank_limited_dataset()
+    with pytest.raises(ValueError, match="noise levels must be finite and non-negative"):
+        ExperimentConfig(dataset=ds, level_cheap=levels[0], level_exp=levels[1])
+
+
+def test_config_takes_zero_noise_levels():
+    config = ExperimentConfig(dataset=_rank_limited_dataset(), level_cheap=0.0, level_exp=0.0)
+    assert (config.level_cheap, config.level_exp) == (0.0, 0.0)
 
 
 def test_config_digest_tracks_content():
@@ -708,15 +739,16 @@ def test_sweep_plans_are_the_library_plans_on_the_cached_basis(basis_kind, overs
     cache = evaluation._SweepCache()
     r = 6
     for s in range(config.n_splits):
-        basis = evaluation._get_basis(config, cache, s, r)
+        pair = evaluation._get_pair(config, cache, s, r)
+        basis = pair.basis
         if basis_kind == "svd":
-            train = evaluation._get_split(config, cache, s)[0].train
+            train = evaluation._get_split(config, cache, s).train
             assert np.array_equal(basis.psi, svd_basis(train, r).psi)
         # QR-only below and at r, then two oversampled p sharing r: the
         # shorter first, the longer, and the shorter again from the longer.
         for p in (4, 6, 9, 15, 9):
             for cv in range(config.n_placement_cv):
-                got = evaluation._get_plan(config, cache, s, cv, r, p)
+                got = evaluation._get_plan(config, pair, s, cv, p)
                 if p <= r:
                     want = qr_pivots(basis, p)
                 elif oversample == "random":
@@ -732,7 +764,7 @@ def test_split_cache_keeps_a_row_major_test_matrix():
     config = _noisy_config()
     cache = evaluation._SweepCache()
     for s in range(config.n_splits):
-        sd, _, test_norm = evaluation._get_split(config, cache, s)
+        sd = evaluation._get_split(config, cache, s)
         own = split(
             config.dataset,
             config.train_fraction,
@@ -745,8 +777,9 @@ def test_split_cache_keeps_a_row_major_test_matrix():
         assert np.array_equal(sd.test, own.test)
         assert np.array_equal(sd.train, own.train)
         # The norm is the split's own array's, summed in its memory order.
-        assert test_norm == float(np.linalg.norm(own.test))
-        assert evaluation._get_split(config, cache, s)[0] is sd
+        assert sd.test_norm == float(np.linalg.norm(own.test))
+        assert sd.variance == overall_variance(own.train)
+        assert evaluation._get_split(config, cache, s) is sd
 
 
 # ---------------------------------------------------------------------------
@@ -757,18 +790,51 @@ def test_split_cache_keeps_a_row_major_test_matrix():
 @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (40, 13), (300, 17)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_error_in_place_equals_fractional_error(shape, seed):
+    # run_trial turns its estimate into Xhat - X_test in place; its error is
+    # fractional_error(X_test, Xhat) of the same plan and draw, bit for bit.
+    # shape is X_test's; the data has rank r, scales from 1e-5 to 1e5 and
+    # noise from 1e-12 to 1 of its spread, so the error spans roundoff to O(1).
+    n, m_test = shape
     rng = np.random.default_rng(seed)
-    wide = rng.standard_normal((shape[0], 2 * shape[1])) * 10.0 ** rng.uniform(-5, 5)
-    Xhat = wide[:, ::2] + rng.standard_normal(shape) * 10.0 ** rng.uniform(-12, 0)
-    # A contiguous reference, as the sweep's test sets are, and a strided one.
-    for X in (np.ascontiguousarray(wide[:, ::2]), wide[:, ::2]):
-        want = fractional_error(X, Xhat)
-        assert evaluation._error_in_place(X, Xhat.copy(), float(np.linalg.norm(X))) == want
+    r = min(n, m_test, 4)
+    p = min(n, 2 * r)
+    X = rng.standard_normal((n, r)) @ rng.standard_normal((r, 2 * m_test))
+    level = 10.0 ** rng.uniform(-24, 0)
+    config = ExperimentConfig(
+        dataset=Dataset(X * 10.0 ** rng.uniform(-5, 5), "rank-r"),
+        level_cheap=level, level_exp=level, train_fraction=0.5,
+        n_splits=1, n_placement_cv=1, n_noise=1, master_seed=seed,
+    )
+    sd = split(config.dataset, 0.5, derive_seed(seed, evaluation._TAG_SPLIT, 0))
+    assert sd.test.shape == shape
+    basis = svd_basis(sd.train, r)
+    plan = plan_with_modes(
+        basis, p, "random", derive_seed(seed, evaluation._TAG_PLACEMENT, 0, 0)
+    )
+    sigmas = np.full(p, np.sqrt(level * overall_variance(sd.train)))
+    Y = noisy_measure(sd.test, plan, sigmas, derive_seed(seed, evaluation._TAG_NOISE, 0, 0, 0))
+    want = fractional_error(sd.test, reconstruct(basis, plan, Y))
+    assert run_trial(config, 0, 0, 0, (r, p)) == want
 
 
-def test_error_in_place_rejects_zero_reference():
+def test_error_in_place_rejects_zero_reference(monkeypatch):
+    # A split whose test snapshots are all zero has no error scale: its
+    # record is refused, before the split's SVD, and a sweep stops there.
+    config = _noisy_config(n_splits=1)
+    sd = split(config.dataset, config.train_fraction,
+               derive_seed(config.master_seed, evaluation._TAG_SPLIT, 0))
+    X = config.dataset.X.copy()
+    X[:, sd.test_indices] = 0.0
+    config = _noisy_config(dataset=Dataset(X, "zero-test"), n_splits=1)
+    svds = []
+    monkeypatch.setattr(evaluation, "svd_basis", lambda *args: svds.append(args))
+    cache = evaluation._SweepCache()
     with pytest.raises(ValueError, match="zero norm"):
-        evaluation._error_in_place(np.zeros((2, 2)), np.ones((2, 2)), 0.0)
+        run_trial(config, 0, 0, 0, (4, 8), cache)
+    assert cache.splits == {} and svds == []
+    with pytest.raises(ValueError, match="zero norm"):
+        sweep_modes_sensors(config, [4], [8], threads=2)
+    assert svds == []
 
 
 @pytest.mark.parametrize("threads", [0, -1])
@@ -941,14 +1007,60 @@ def test_sweeps_on_zero_variance_data(basis_kind, oversample):
 
 @pytest.mark.parametrize("oversample", ["random", "odeim-e"])
 @pytest.mark.parametrize("basis_kind", ["svd", "randomized"])
+def test_a_sweep_keeps_one_record_per_split_and_per_split_and_r(
+    monkeypatch, basis_kind, oversample
+):
+    caches = []
+
+    class RecordingCache(evaluation._SweepCache):
+        def __init__(self):
+            super().__init__()
+            caches.append(self)
+
+    monkeypatch.setattr(evaluation, "_SweepCache", RecordingCache)
+    config = _noisy_config(basis_kind=basis_kind, policy=PlacementPolicy(oversample=oversample))
+    r_grid = [4, 6, 8]
+    sweep_modes_sensors(config, r_grid, [5, 10], threads=2)
+    (cache,) = caches
+    splits = range(config.n_splits)
+    assert sorted(cache.splits) == list(splits)
+    assert sorted(cache.pairs) == [(s, r) for s in splits for r in r_grid]
+    assert cache.solves == {}
+    for s in splits:
+        modes = cache.splits[s].modes
+        assert (modes is None) == (basis_kind == "randomized")
+        for r in r_grid:
+            pair = cache.pairs[s, r]
+            assert pair.basis.r == r and pair.pivots.size == r
+            # SVD bases are views of the split's modes, not copies.
+            if modes is not None:
+                assert np.shares_memory(pair.basis.psi, modes.psi)
+            # Only odeim-e sweeps keep a greedy plan: the longest, p = 10.
+            if oversample == "odeim-e":
+                assert pair.greedy.p == 10
+            else:
+                assert pair.greedy is None
+
+
+def test_single_fidelity_sweeps_do_not_depend_on_level_exp():
+    # An (r, p) cell puts all p sensors at level_cheap, whatever level_exp is.
+    cells = [
+        sweep_modes_sensors(_noisy_config(level_exp=level_exp), [4, 6], [5, 10], threads=1)
+        for level_exp in (0.0, 0.01, 0.02)
+    ]
+    assert cells[0] == cells[1] == cells[2]
+
+
+@pytest.mark.parametrize("oversample", ["random", "odeim-e"])
+@pytest.mark.parametrize("basis_kind", ["svd", "randomized"])
 def test_each_split_and_r_is_prepared_once_on_the_thread_of_its_trials(
     monkeypatch, basis_kind, oversample
 ):
     config = _noisy_config(basis_kind=basis_kind, policy=PlacementPolicy(oversample=oversample))
     r_grid, p_grid = [4, 6], [5, 10]
     sequential = sweep_modes_sensors(config, r_grid, p_grid, threads=1)
-    owner = {}  # id of a basis or of its mode matrix -> (split, r)
-    calls = []  # (layer, (split, r) or split, thread); list.append is atomic
+    calls = []  # (layer, key, thread); list.append is atomic
+    caches = []
 
     def recording(name, fn, key):
         def wrapper(*args):
@@ -957,23 +1069,23 @@ def test_each_split_and_r_is_prepared_once_on_the_thread_of_its_trials(
 
         return wrapper
 
-    get_basis = evaluation._get_basis
+    class RecordingCache(evaluation._SweepCache):
+        def __init__(self):
+            super().__init__()
+            caches.append(self)
 
-    def owned_basis(config, cache, s, r):
-        basis = get_basis(config, cache, s, r)
-        owner[id(basis)] = owner[id(basis.psi)] = (s, r)
-        return basis
-
-    monkeypatch.setattr(evaluation, "_get_basis", owned_basis)
+    monkeypatch.setattr(evaluation, "_SweepCache", RecordingCache)
     monkeypatch.setattr(evaluation, "split", recording(
         "split", evaluation.split, lambda ds, fraction, seed: seed))
     basis_fn = "svd_basis" if basis_kind == "svd" else "randomized_basis"
     monkeypatch.setattr(evaluation, basis_fn, recording(
         "basis", getattr(evaluation, basis_fn), lambda train, r, *seed: (id(train), r)))
+    # Pivots and tails are keyed by the basis or mode matrix they ran on
+    # (kept alive, so their ids stay unique), and then by its (split, r).
     monkeypatch.setattr(evaluation, "qr_pivots", recording(
-        "pivots", evaluation.qr_pivots, lambda basis, k: owner[id(basis)]))
+        "pivots", evaluation.qr_pivots, lambda basis, k: basis))
     monkeypatch.setattr(kernels, "sigma_min_tail", recording(
-        "tail", kernels.sigma_min_tail, lambda psi, prefix, count: owner[id(psi)]))
+        "tail", kernels.sigma_min_tail, lambda psi, prefix, count: psi))
     monkeypatch.setattr(evaluation, "run_trial", recording(
         "trial", evaluation.run_trial, lambda config, s, c, z, cell, cache: (s, cell[0])))
     monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 8)
@@ -984,6 +1096,14 @@ def test_each_split_and_r_is_prepared_once_on_the_thread_of_its_trials(
     finally:
         sys.setswitchinterval(interval)
 
+    (cache,) = caches
+    owner = {}  # id of a pair's basis or of its mode matrix -> (split, r)
+    for pair_key, pair in cache.pairs.items():
+        owner[id(pair.basis)] = owner[id(pair.basis.psi)] = pair_key
+    calls = [
+        (name, owner[id(key)] if name in ("pivots", "tail") else key, thread)
+        for name, key, thread in calls
+    ]
     pairs = {(s, r) for s in range(config.n_splits) for r in r_grid}
     keys = Counter((name, key) for name, key, _ in calls)
     # One split per split index; for SVD sweeps one basis of every mode per

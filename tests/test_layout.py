@@ -1,11 +1,16 @@
 """Source layout: the package's modules reach each other only through
-public names, so every stage keeps one entry point; and every name the
-benchmark in ``perfbench/`` traces, imports or calls still exists."""
+public names, so every stage keeps one entry point; importing the package
+loads only numpy and the standard library; and every name the benchmark in
+``perfbench/`` traces, imports or calls still exists."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,6 +58,27 @@ def test_no_module_imports_a_private_name_from_another():
         if (names := _private_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def test_importing_the_package_loads_only_numpy_and_the_standard_library():
+    # Every CLI run and library user pays this import before any work, so
+    # the command-line front end and the chart writer stay out of it.
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import sparsesense\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = json.loads(run.stdout)
+    assert "sparsesense" in loaded
+    tops = {name.partition(".")[0] for name in loaded}
+    assert tops - set(sys.stdlib_module_names) == {"numpy", "sparsesense"}
+    assert not {"sparsesense.cli", "sparsesense.svg"} & set(loaded)
 
 
 # ---------------------------------------------------------------------------
