@@ -442,7 +442,7 @@ def _cmd_place(o) -> int:
     if not ds.X.any():
         # Every column ties; the plan would be sensors 0..p-1 for any p.
         raise ValueError(f"{o.data}: data matrix has zero norm")
-    r = o.modes if o.modes is not None else min(PlacementPolicy().modes_for(o.p), ds.n, ds.m)
+    r = o.modes if o.modes is not None else PlacementPolicy().modes_for(o.p, min(ds.n, ds.m))
     # One BLAS thread, as in sweeps, so the sensors do not depend on the
     # machine's core count.
     with kernels.single_blas_thread():

@@ -123,10 +123,9 @@ class ExperimentConfig:
             raise ValueError("trial counts must all be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
-        if not all(math.isfinite(v) and v >= 0 for v in (self.level_cheap, self.level_exp)):
-            raise ValueError("noise levels must be finite and non-negative")
-        if self.level_exp > self.level_cheap:
-            raise ValueError("level_exp must not exceed level_cheap")
+        # The noise-level rule is NoiseModel's; each split supplies its own
+        # reference variance, so any valid one checks the levels here.
+        NoiseModel(self.level_cheap, self.level_exp, 1.0)
         if self.composition_steps < 2:
             raise ValueError("composition_steps must be >= 2")
 
@@ -321,14 +320,12 @@ def _resolve_cell(config, cell):
     """Normalize an (r, p) pair or a Composition into (r, p, composition);
     the composition of an (r, p) pair is None."""
     n = config.dataset.n
-    max_svd_modes = min(n, config.m_train)
+    max_modes = min(n, config.m_train)
     if isinstance(cell, Composition):
         p = cell.p
         if p < 1:
             raise ValueError("composition places no sensors")
-        r = config.policy.modes_for(p)
-        if config.basis_kind == "svd":
-            r = min(r, max_svd_modes)
+        r = config.policy.modes_for(p, max_modes)
         if p > n:
             raise ValueError(f"composition needs p = {p} > n = {n} sensors")
         return r, p, cell
@@ -337,9 +334,9 @@ def _resolve_cell(config, cell):
         raise ValueError(f"cell (r={r}, p={p}) infeasible: counts must be >= 1")
     if p > n:
         raise ValueError(f"cell (r={r}, p={p}) infeasible: p exceeds n = {n}")
-    if config.basis_kind == "svd" and r > max_svd_modes:
+    if config.basis_kind == "svd" and r > max_modes:
         raise ValueError(
-            f"cell (r={r}, p={p}) infeasible: r exceeds min(n, m_train) = {max_svd_modes}"
+            f"cell (r={r}, p={p}) infeasible: r exceeds min(n, m_train) = {max_modes}"
         )
     return r, p, None
 
@@ -464,6 +461,11 @@ def _check_band(band) -> None:
         raise ValueError(f"band must be finite and non-negative, got {band}")
 
 
+def _check_errors(errors) -> None:
+    if not all(0 <= e < math.inf for e in errors):
+        raise ValueError(f"errors must be finite and non-negative, got {list(errors)}")
+
+
 def _summarize(errors: np.ndarray) -> tuple[float, float]:
     mean = float(np.mean(errors))
     std = float(np.std(errors, ddof=1)) if errors.size > 1 else 0.0
@@ -539,11 +541,10 @@ def min_error_curve(
 
 def classify_regime(err_all_cheap: float, err_all_exp: float, band: float = 0.02) -> str:
     """Which endpoint wins, or inconclusive when the errors differ by less
-    than the band (absolute difference in fractional error; finite and
-    non-negative)."""
+    than the band (absolute difference in fractional error). The band and
+    both errors must be finite and non-negative."""
     _check_band(band)
-    if err_all_cheap < 0 or err_all_exp < 0:
-        raise ValueError("errors must be non-negative")
+    _check_errors((err_all_cheap, err_all_exp))
     if abs(err_all_cheap - err_all_exp) < band:
         return REGIME_INCONCLUSIVE
     return REGIME_CHEAP if err_all_cheap < err_all_exp else REGIME_EXPENSIVE
@@ -551,11 +552,13 @@ def classify_regime(err_all_cheap: float, err_all_exp: float, band: float = 0.02
 
 def classify_composition_sweep(mean_errors, band: float = 0.02) -> str:
     """Endpoint classification, upgraded to mixed-best when some interior
-    composition beats both endpoints by more than the band."""
+    composition beats both endpoints by more than the band. Every mean must
+    be finite and non-negative."""
     _check_band(band)
     means = [float(v) for v in mean_errors]
     if len(means) < 2:
         raise ValueError("need at least the two endpoint compositions")
+    _check_errors(means)
     first, last = means[0], means[-1]
     if len(means) > 2:
         interior = min(means[1:-1])

@@ -1,9 +1,9 @@
 """Dense linear algebra core.
 
-Column-pivoted QR (pivot selection and full factors), an economic SVD with a
-checked contract, minimum-norm least squares via a truncated pseudoinverse,
-condition numbers, and seeded random matrix generation. All operations are
-pure: inputs are never mutated and outputs are safe to share across threads.
+Column-pivoted QR (pivot selection and full factors), minimum-norm least
+squares via a truncated pseudoinverse, condition numbers, and seeded random
+matrix generation. All operations are pure: inputs are never mutated and
+outputs are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -103,17 +103,6 @@ def cpqr_factors(V, k: int | None = None):
     perm, r_diag, R, Q = kernels.cpqr_select(V, k, want_q=True)
     result = PivotResult(pivots=perm[:k].copy(), r_diag=r_diag, permutation=perm)
     return result, Q, R
-
-
-def svd(A):
-    """Economic SVD: returns (U, S, V) with A = U @ diag(S) @ V.T.
-
-    U and V have orthonormal columns and S is non-increasing. Delegated to
-    LAPACK via numpy; the contract is what the tests pin down.
-    """
-    A = as_matrix(A, "A")
-    U, S, Vh = np.linalg.svd(A, full_matrices=False)
-    return U, S, Vh.T
 
 
 def rank_cutoff(singular_values: np.ndarray, shape) -> float:

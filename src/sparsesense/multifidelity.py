@@ -24,8 +24,9 @@ ASSIGNMENTS = ("exp-first", "exp-last")
 class NoiseModel:
     """Cheap/expensive noise levels tied to a reference variance.
 
-    Expensive means less noisy: level_exp <= level_cheap. The per-sensor
-    noise standard deviation is sqrt(level * reference_variance).
+    Levels are finite and non-negative, and expensive means less noisy:
+    level_exp <= level_cheap. The per-sensor noise standard deviation is
+    sqrt(level * reference_variance).
     """
 
     level_cheap: float
@@ -33,8 +34,8 @@ class NoiseModel:
     reference_variance: float
 
     def __post_init__(self):
-        if self.level_cheap < 0 or self.level_exp < 0:
-            raise ValueError("noise levels must be non-negative")
+        if not (0 <= self.level_cheap < math.inf and 0 <= self.level_exp < math.inf):
+            raise ValueError("noise levels must be finite and non-negative")
         if self.level_exp > self.level_cheap:
             raise ValueError(
                 f"expensive sensors must not be noisier than cheap ones: "

@@ -4,8 +4,7 @@ Every plan is built by :func:`plan_with_modes`: the column-pivoted QR of the
 transposed basis gives the first sensors, and oversampling appends extra
 rows either uniformly at random or by greedily maximizing the smallest
 singular value of the growing measurement matrix. :func:`place` picks the
-number of modes from a policy first; :func:`oversample_random` and
-:func:`oversample_sigma_min` name the two oversamplers.
+number of modes from a policy first.
 """
 
 from __future__ import annotations
@@ -71,10 +70,16 @@ class PlacementPolicy:
         if self.oversample not in OVERSAMPLERS:
             raise ValueError("oversample must be 'random' or 'odeim-e'")
 
-    def modes_for(self, p: int) -> int:
+    def modes_for(self, p: int, limit: int | None = None) -> int:
+        """Mode count for p sensors, at most ``limit`` when one is given.
+
+        Callers pass min(n, m) of the matrix the basis is built from, or the
+        r of a basis already built: more modes than that add nothing.
+        """
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
-        return p if p <= self.small_p_threshold else math.ceil(p / self.oversample_factor)
+        r = p if p <= self.small_p_threshold else math.ceil(p / self.oversample_factor)
+        return r if limit is None else min(r, limit)
 
 
 def qr_pivots(basis: Basis, k: int) -> SensorPlan:
@@ -108,7 +113,18 @@ def plan_with_modes(
     With p <= r the plan is the first p QR pivots of the mode matrix.
     Otherwise it is all r pivots followed by p - r rows from the
     oversampler: a uniform draw from the remaining rows under ``seed`` for
-    ``"random"``, the greedy sigma_min scan for ``"odeim-e"``.
+    ``"random"``; for ``"odeim-e"``, greedily the row maximizing sigma_min
+    of the grown measurement matrix (ties to the lowest row index).
+
+    Each greedy step picks exactly the row an exhaustive scan over the
+    remaining candidates would. One seed row is valued exactly, one GEMV
+    drops every candidate it beats by more than a stated tolerance,
+    secular-equation brackets on the few left prune all but those that can
+    win, and those are confirmed with the exhaustive scan's own eigvalsh
+    arithmetic (see :func:`sparsesense.kernels.sigma_min_tail`). A step
+    costs one n x r x r product, two GEMVs and one r x r eigvalsh besides
+    the eigh of the Gram matrix, plus root-finding on the rows left, still
+    far more than a random draw.
 
     ``pivots`` is the basis's first min(r, n) QR pivots, for a caller that
     already has them; they are computed when omitted.
@@ -137,35 +153,6 @@ def plan_with_modes(
     return SensorPlan(np.concatenate([pivots, tail]), method, basis.r)
 
 
-def oversample_random(basis: Basis, p: int, seed: int) -> SensorPlan:
-    """QR pivots for the first r sensors, the remaining p - r uniform at random."""
-    _check_oversample(basis, p)
-    return plan_with_modes(basis, p, "random", seed)
-
-
-def oversample_sigma_min(basis: Basis, p: int) -> SensorPlan:
-    """QR pivots, then greedily add the row maximizing sigma_min of the
-    grown measurement matrix (ties to the lowest row index).
-
-    Each step picks exactly the row an exhaustive scan over the remaining
-    candidates would. One seed row is valued exactly, one GEMV drops every
-    candidate it beats by more than a stated tolerance, secular-equation
-    brackets on the few left prune all but those that can win, and those
-    are confirmed with the exhaustive scan's own eigvalsh arithmetic (see
-    :func:`sparsesense.kernels.sigma_min_tail`). A step costs one n x r x r
-    product, two GEMVs and one r x r eigvalsh besides the eigh of the Gram
-    matrix, plus root-finding on the rows left, still far more than a
-    random draw.
-    """
-    _check_oversample(basis, p)
-    return plan_with_modes(basis, p, "odeim-e")
-
-
-def _check_oversample(basis: Basis, p: int) -> None:
-    if p <= basis.r:
-        raise ValueError(f"oversampling requires p > r, got p = {p}, r = {basis.r}")
-
-
 def place(
     basis: Basis,
     p: int,
@@ -181,7 +168,7 @@ def place(
     """
     policy = policy or PlacementPolicy()
     if not (basis.kind == "randomized" and basis.r > p):
-        basis = truncate_basis(basis, min(policy.modes_for(p), basis.r))
+        basis = truncate_basis(basis, policy.modes_for(p, basis.r))
     return plan_with_modes(basis, p, policy.oversample, seed)
 
 

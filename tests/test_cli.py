@@ -11,7 +11,9 @@ from sparsesense import evaluation, kernels
 from sparsesense.basis import randomized_basis, svd_basis
 from sparsesense.cli import OPTIONS, main, parse_mf_csv, parse_sweep_csv
 from sparsesense.dataset import Dataset, load_matrix, save_matrix
-from sparsesense.placement import oversample_random, oversample_sigma_min, qr_pivots
+from sparsesense.evaluation import ExperimentConfig
+from sparsesense.multifidelity import Composition
+from sparsesense.placement import place, plan_with_modes, qr_pivots
 
 
 def _run(*argv):
@@ -139,10 +141,8 @@ def test_place_with_modes_is_the_library_plan_on_that_basis(tmp_path, basis, ove
         modes = svd_basis(X, 8) if basis == "svd" else randomized_basis(X, 8, 5)
         if p <= 8:
             want = qr_pivots(modes, p)
-        elif oversample == "random":
-            want = oversample_random(modes, p, 5)
         else:
-            want = oversample_sigma_min(modes, p)
+            want = plan_with_modes(modes, p, oversample, 5)
     assert _placed(out) == want.locations.tolist()
     manifest = (out / "manifest.txt").read_text()
     assert "modes=8" in manifest and f"method={want.method}" in manifest
@@ -168,6 +168,30 @@ def test_place_a_sensor_on_every_row(tmp_path, basis, oversample):
         "--oversample", oversample, "--out-dir", str(out),
     ) == 0
     assert sorted(_placed(out)) == list(range(40))
+
+
+# Without --modes the rule is capped by the data's min(n, m) = 8: at p = 6
+# the cap does not bind (r = 6), at p = 20 it does (the rule's 10 becomes 8).
+@pytest.mark.parametrize("p,r", [(6, 6), (20, 8)])
+@pytest.mark.parametrize("kind", ["svd", "randomized"])
+def test_place_the_library_and_sweeps_agree_on_the_mode_count(tmp_path, kind, p, r):
+    n, m = 30, 8
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((n, m))
+    data = str(tmp_path / "d.bin")
+    save_matrix(Dataset(X, "d"), data)
+    out = tmp_path / "placed"
+    assert _run(
+        "place", "--data", data, "--p", str(p), "--basis", kind, "--seed", "5",
+        "--out-dir", str(out),
+    ) == 0
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert f"arg.modes={r}" in manifest
+    assert place(svd_basis(X, min(n, m)), p, seed=5).r_used == r
+    # A sweep over 10 snapshots trains on 8 of them: the same (n, m).
+    config = ExperimentConfig(dataset=Dataset(rng.standard_normal((n, 10)), "e"), basis_kind=kind)
+    assert config.m_train == m
+    assert evaluation._resolve_cell(config, Composition(p, 0))[0] == r
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,6 @@ from sparsesense.multifidelity import Composition, budget_from_endpoints, noisy_
 from sparsesense.placement import (
     PlacementPolicy,
     SensorPlan,
-    oversample_random,
-    oversample_sigma_min,
     plan_with_modes,
     qr_pivots,
 )
@@ -410,6 +408,16 @@ def test_classifiers_reject_a_negative_or_non_finite_band(band):
         classify_composition_sweep([0.1, 0.5, 0.1], band=band)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+def test_classifiers_reject_a_negative_or_non_finite_error(bad):
+    for errors in ((bad, 0.2), (0.2, bad)):
+        with pytest.raises(ValueError, match="errors must be finite and non-negative"):
+            classify_regime(*errors)
+    for means in ([bad, 0.2, 0.3], [0.3, bad, 0.2], [0.3, 0.2, bad]):
+        with pytest.raises(ValueError, match="errors must be finite and non-negative"):
+            classify_composition_sweep(means)
+
+
 def test_a_zero_band_decides_every_unequal_pair():
     assert classify_regime(0.1, 0.2, band=0.0) == "cheap"
     assert classify_regime(0.2, 0.1, band=0.0) == "expensive"
@@ -609,6 +617,27 @@ def test_mf_sweep_equals_fresh_trials_exactly():
         assert (res.mean_error, res.std_error) == _fresh_summary(config, res.composition)
 
 
+def test_mf_randomized_composition_is_clamped_to_the_training_shape():
+    # 10 snapshots train on 8; the all-cheap endpoint's 20 sensors ask the
+    # rule for 10 modes, more than a basis from 8 snapshots can span.
+    config = ExperimentConfig(
+        dataset=_rank_limited_dataset(n=30, m=10, rank=6, seed=5),
+        basis_kind="randomized",
+        budget=budget_from_endpoints(20, 4, 1.0),
+        composition_steps=3,
+        n_splits=2,
+        n_placement_cv=2,
+        n_noise=2,
+        master_seed=11,
+    )
+    results = mf_sweep(config)
+    comp = results[0].composition
+    assert (comp.p, config.m_train) == (20, 8)
+    assert evaluation._resolve_cell(config, comp)[0] == 8
+    mean, _ = _fresh_summary(config, comp)
+    assert results[0].mean_error == pytest.approx(mean, rel=1e-12)
+
+
 def test_mf_sweep_threads_match_sequential_exactly():
     config = _mf_config()
     sequential = mf_sweep(config, threads=1)
@@ -751,11 +780,9 @@ def test_sweep_plans_are_the_library_plans_on_the_cached_basis(basis_kind, overs
                 got = evaluation._get_plan(config, pair, s, cv, p)
                 if p <= r:
                     want = qr_pivots(basis, p)
-                elif oversample == "random":
-                    seed = derive_seed(config.master_seed, evaluation._TAG_PLACEMENT, s, cv)
-                    want = oversample_random(basis, p, seed)
                 else:
-                    want = oversample_sigma_min(basis, p)
+                    seed = derive_seed(config.master_seed, evaluation._TAG_PLACEMENT, s, cv)
+                    want = plan_with_modes(basis, p, oversample, seed)
                 assert got.locations.tolist() == want.locations.tolist()
                 assert (got.method, got.r_used) == (want.method, want.r_used)
 

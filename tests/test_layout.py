@@ -144,3 +144,25 @@ def test_the_benchmark_oracle_keeps_its_call_shape():
     cache = evaluation._SweepCache()
     error = evaluation.run_trial(config, 0, 0, 0, (3, 5), cache)
     assert error == evaluation.run_trial(config, 0, 0, 0, (3, 5))
+
+
+# ---------------------------------------------------------------------------
+# the public surface and the README's use of it
+# ---------------------------------------------------------------------------
+
+
+def test_every_exported_name_is_listed_once_and_resolves():
+    import sparsesense
+
+    names = sparsesense.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(sparsesense, name), name
+
+
+def test_the_readme_library_sketch_runs():
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    _, _, after = readme.partition("## Library sketch\n")
+    assert after, "README has no Library sketch section"
+    block = after.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md (Library sketch)", "exec"), {})

@@ -1,4 +1,4 @@
-"""Core linear algebra contracts: CPQR, SVD, least squares, random factories."""
+"""Core linear algebra contracts: CPQR, least squares, random factories."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from sparsesense.linalg import (
     gaussian_matrix,
     lstsq_minnorm,
     random_orthonormal_columns,
-    svd,
 )
 
 
@@ -247,32 +246,6 @@ def test_cpqr_pins_pivots_of_well_separated_orthogonal_columns(rows, cols, seed)
     V[:, where] = Q * scales
     want = where[np.argsort(-scales)].tolist()
     assert _assert_cpqr_contract(V, k).pivots.tolist() == want
-
-
-# ---------------------------------------------------------------------------
-# svd
-# ---------------------------------------------------------------------------
-
-
-def test_svd_diagonal():
-    _, S, _ = svd(np.diag([3.0, 1.0]))
-    np.testing.assert_allclose(S, [3.0, 1.0])
-
-
-def test_svd_zero_matrix():
-    _, S, _ = svd(np.zeros((2, 2)))
-    np.testing.assert_allclose(S, [0.0, 0.0])
-
-
-def test_svd_reconstruction_and_orthonormality():
-    rng = np.random.default_rng(99)
-    A = rng.standard_normal((8, 5))
-    U, S, V = svd(A)
-    err = np.linalg.norm(A - U @ np.diag(S) @ V.T) / np.linalg.norm(A)
-    assert err <= 1e-10
-    np.testing.assert_allclose(U.T @ U, np.eye(5), atol=1e-12)
-    np.testing.assert_allclose(V.T @ V, np.eye(5), atol=1e-12)
-    assert np.all(np.diff(S) <= 0)
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,14 @@ def test_noise_model_rejects_noisier_expensive():
         NoiseModel(level_cheap=0.01, level_exp=0.02, reference_variance=1.0)
 
 
+@pytest.mark.parametrize("levels", [
+    (math.nan, 0.0), (math.inf, 0.0), (0.01, math.nan), (0.01, math.inf), (-0.01, 0.0),
+])
+def test_noise_model_rejects_negative_or_non_finite_levels(levels):
+    with pytest.raises(ValueError, match="noise levels must be finite and non-negative"):
+        NoiseModel(*levels, reference_variance=1.0)
+
+
 def _plan(p):
     return SensorPlan(np.arange(p), "qr", p)
 

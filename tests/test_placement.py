@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
+from sparsesense import kernels
 from sparsesense.basis import Basis, randomized_basis, svd_basis
 from sparsesense.linalg import cpqr
 from sparsesense.placement import (
     PlacementPolicy,
     SensorPlan,
     measure,
-    oversample_random,
-    oversample_sigma_min,
     place,
     plan_with_modes,
     qr_pivots,
@@ -73,23 +72,23 @@ def test_qr_pivots_square_theta_volume_matches_rdiag():
 
 
 # ---------------------------------------------------------------------------
-# oversample_random
+# plan_with_modes, random oversampling
 # ---------------------------------------------------------------------------
 
 
 def test_oversample_random_requires_p_beyond_r():
+    # At p <= r the plan is QR pivots only; a random tail needs p > r.
     rng = np.random.default_rng(4)
     basis = _basis_from(rng.standard_normal((6, 2)))
+    assert plan_with_modes(basis, 2, "random", seed=0).method == "qr"
     with pytest.raises(ValueError):
-        oversample_random(basis, 2, seed=0)
-    with pytest.raises(ValueError):
-        oversample_random(basis, 7, seed=0)
+        plan_with_modes(basis, 7, "random", seed=0)
 
 
 def test_oversample_random_exhausts_all_rows():
     rng = np.random.default_rng(5)
     basis = _basis_from(rng.standard_normal((6, 2)))
-    plan = oversample_random(basis, 6, seed=1)
+    plan = plan_with_modes(basis, 6, "random", seed=1)
     assert sorted(plan.locations.tolist()) == list(range(6))
     np.testing.assert_array_equal(
         plan.locations[:2], qr_pivots(basis, 2).locations
@@ -99,10 +98,10 @@ def test_oversample_random_exhausts_all_rows():
 def test_oversample_random_deterministic():
     rng = np.random.default_rng(6)
     basis = _basis_from(rng.standard_normal((20, 3)))
-    a = oversample_random(basis, 9, seed=2)
-    b = oversample_random(basis, 9, seed=2)
+    a = plan_with_modes(basis, 9, "random", seed=2)
+    b = plan_with_modes(basis, 9, "random", seed=2)
     np.testing.assert_array_equal(a.locations, b.locations)
-    c = oversample_random(basis, 9, seed=3)
+    c = plan_with_modes(basis, 9, "random", seed=3)
     assert not np.array_equal(a.locations, c.locations)
 
 
@@ -111,20 +110,20 @@ def test_oversample_random_draws_from_ascending_remaining_rows():
     # replacement from the rows outside the QR prefix, in ascending order.
     rng = np.random.default_rng(10)
     basis = _basis_from(rng.standard_normal((40, 4)))
-    plan = oversample_random(basis, 15, seed=8)
+    plan = plan_with_modes(basis, 15, "random", seed=8)
     remaining = np.setdiff1d(np.arange(40), plan.locations[:4])
     want = np.random.default_rng(8).choice(remaining, size=11, replace=False)
     np.testing.assert_array_equal(plan.locations[4:], want)
 
 
 # ---------------------------------------------------------------------------
-# oversample_sigma_min
+# plan_with_modes, odeim-e (greedy sigma_min) oversampling
 # ---------------------------------------------------------------------------
 
 
 def test_sigma_min_hand_checked_example():
     basis = _basis_from(np.array([[1.0], [1.0], [0.1], [0.1]]))
-    plan = oversample_sigma_min(basis, 2)
+    plan = plan_with_modes(basis, 2, "odeim-e")
     assert plan.locations.tolist() == [0, 1]
     assert plan.method == "qr+odeim-e"
 
@@ -137,7 +136,7 @@ def test_sigma_min_each_step_matches_exhaustive_scan():
     rng = np.random.default_rng(7)
     psi = rng.standard_normal((30, 4))
     basis = _basis_from(psi)
-    plan = oversample_sigma_min(basis, 9)
+    plan = plan_with_modes(basis, 9, "odeim-e")
     chosen = plan.locations.tolist()
     for step in range(4, 9):
         selected = chosen[:step]
@@ -154,7 +153,7 @@ def test_sigma_min_never_decreases_as_rows_added():
     rng = np.random.default_rng(8)
     psi = rng.standard_normal((25, 5))
     basis = _basis_from(psi)
-    plan = oversample_sigma_min(basis, 12)
+    plan = plan_with_modes(basis, 12, "odeim-e")
     values = [
         _sigma_min(psi[plan.locations[:q]]) for q in range(5, 13)
     ]
@@ -169,8 +168,8 @@ def test_sigma_min_beats_random_oversampling_in_most_trials():
     for t in range(trials):
         X = rng.standard_normal((200, 80))
         basis = svd_basis(X, 10)
-        greedy = oversample_sigma_min(basis, 20)
-        random_plan = oversample_random(basis, 20, seed=1000 + t)
+        greedy = plan_with_modes(basis, 20, "odeim-e")
+        random_plan = plan_with_modes(basis, 20, "random", seed=1000 + t)
         s_greedy = _sigma_min(basis.psi[greedy.locations])
         s_random = _sigma_min(basis.psi[random_plan.locations])
         wins += s_greedy >= s_random
@@ -197,10 +196,13 @@ def test_plan_with_modes_is_qr_then_oversampler(kind):
         assert plan.locations.tolist() == pivots[:p].tolist()
     rand = plan_with_modes(basis, 13, "random", seed=2)
     assert rand.method == "qr+random-oversample"
-    assert rand.locations.tolist() == oversample_random(basis, 13, 2).locations.tolist()
+    remaining = np.setdiff1d(np.arange(basis.n), pivots)
+    want = np.random.default_rng(2).choice(remaining, size=7, replace=False)
+    assert rand.locations[6:].tolist() == want.tolist()
     greedy = plan_with_modes(basis, 13, "odeim-e")
     assert greedy.method == "qr+odeim-e"
-    assert greedy.locations.tolist() == oversample_sigma_min(basis, 13).locations.tolist()
+    want = kernels.sigma_min_tail(basis.psi, pivots, 7)
+    assert greedy.locations[6:].tolist() == want.tolist()
     for plan in (rand, greedy):
         assert plan.locations[:6].tolist() == pivots.tolist()
 
@@ -251,6 +253,11 @@ def test_policy_mode_rule():
     custom = PlacementPolicy(small_p_threshold=4, oversample_factor=4.0)
     assert custom.modes_for(4) == 4
     assert custom.modes_for(40) == 10
+    # The limit (min(n, m) of the data, or a basis's r) caps the rule.
+    assert policy.modes_for(100, 60) == 50
+    assert policy.modes_for(100, 30) == 30
+    assert policy.modes_for(8, 5) == 5
+    assert custom.modes_for(40, 10) == 10
 
 
 def test_place_small_budget_is_pure_qr():
