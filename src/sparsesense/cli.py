@@ -19,9 +19,16 @@ subcommand declares, a line without '=', or a bad value is a usage error,
 so one file can drive several subcommands but cannot misspell a key.
 
 Exit codes: 0 success, 64 usage error, 65 bad or inconsistent input data,
-2 I/O failure. All outputs are written atomically (temp file + rename) and
-every run leaves a manifest listing its arguments, the BLAS it ran on and
-its output digests.
+2 I/O failure.
+
+Each command returns its outputs and the values it derived; ``_run`` writes
+every output atomically (temp file + rename) and then the manifest, the one
+record of a run: ``manifest.txt`` in --out-dir, or ``<out>.manifest`` for
+synth. Its lines are, in order: the run facts (tool, command, master-seed,
+started, finished, python, numpy, blas, blas-threads); the derived values
+(place: modes, method; sweep: config-digest; mf: config-digest, regime;
+report: inputs); ``arg.<flag>`` for each recorded option, defaults included,
+and for nothing else; and ``file.<name>=sha256:<hex>`` for each output.
 """
 
 from __future__ import annotations
@@ -30,12 +37,15 @@ import argparse
 import inspect
 import math
 import os
+import platform
 import sys
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from hashlib import sha256
 from typing import Any, Callable
+
+import numpy as np
 
 from . import __version__, kernels
 from .basis import BASIS_KINDS, randomized_basis, svd_basis
@@ -253,7 +263,7 @@ def _resolve(args: argparse.Namespace, cfg: dict[str, str]) -> argparse.Namespac
 
 
 # ---------------------------------------------------------------------------
-# Output helpers
+# Output: one writer, and the manifest written last
 # ---------------------------------------------------------------------------
 
 
@@ -300,144 +310,144 @@ def _show(value) -> str:
     return str(value)
 
 
-def _write_manifest(path, o, outputs, started, derived=None) -> None:
-    """Record the run: the BLAS, every recorded option that has a value, the
-    ``derived`` items, and each output's digest."""
-    items = {
+def _manifest(o, started: str, outputs, derived: dict) -> str:
+    """The run facts, the ``derived`` values, an ``arg.`` line for every
+    recorded option that has a value, and each output's digest."""
+    recorded = {
         opt.flag: getattr(o, opt.dest)
         for opt in OPTIONS[o.command]
         if opt.record and getattr(o, opt.dest) is not None
     }
-    items.update(derived or {})
     lines = [
         f"tool=sparsesense {__version__}",
         f"command={o.command}",
         f"master-seed={o.seed}",
         f"started={started}",
         f"finished={_utcnow()}",
+        f"python={platform.python_version()}",
+        f"numpy={np.__version__}",
     ]
     lines += [f"{key}={value}" for key, value in kernels.blas_record().items()]
-    lines += [f"arg.{key}={_show(value)}" for key, value in sorted(items.items())]
+    lines += [f"{key}={_show(value)}" for key, value in sorted(derived.items())]
+    lines += [f"arg.{key}={_show(value)}" for key, value in sorted(recorded.items())]
     lines += [
         f"file.{os.path.basename(p)}=sha256:{_digest_file(p)}" for p in sorted(outputs)
     ]
-    _write_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _run(o) -> None:
+    """Run ``o.command``, write each output it returns, then the manifest."""
+    started = _utcnow()
+    outputs, derived = o.func(o)
+    for path, payload in outputs.items():
+        _write_atomic(path, payload)
+    if o.command == "synth":
+        manifest = o.out + ".manifest"
+    else:
+        manifest = os.path.join(o.out_dir, "manifest.txt")
+    _write_atomic(manifest, _manifest(o, started, outputs, derived))
 
 
 # ---------------------------------------------------------------------------
-# Results CSV formats
+# Results tables: each declares its (column, type) pairs once
 # ---------------------------------------------------------------------------
+
+_SWEEP_COLUMNS = (
+    ("r", int), ("p", int), ("basis", str),
+    ("mean_error", float), ("std_error", float), ("trials", int),
+)
+_MF_COLUMNS = (
+    ("p_cheap", int), ("p_exp", int),
+    ("mean_error", float), ("std_error", float), ("trials", int),
+)
+_SENSORS_COLUMNS = (("rank", int), ("location", int))
+_REPORT_COLUMNS = (("b", str), ("noise_regime", str), ("count_regime", str), ("regime", str))
+
+
+def _table(columns, rows, notes=()) -> str:
+    """CSV text: the header, one line per row of values (floats to 17
+    significant digits), then a ``# <note>`` line per note."""
+    lines = [",".join(name for name, _ in columns)]
+    lines += [",".join(map(_show, row)) for row in rows]
+    lines += [f"# {note}" for note in notes]
+    return "\n".join(lines) + "\n"
+
+
+def _parse_table(columns, text: str, path: str) -> tuple[list[dict], list[str]]:
+    """The rows of a ``_table`` text as dicts typed by ``columns``, and its
+    notes. Blank lines are skipped; every error names ``path`` and the line."""
+    header = ",".join(name for name, _ in columns)
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if not lines or lines[0][1] != header:
+        lineno = lines[0][0] if lines else 1
+        raise ValueError(f"{path}: line {lineno}: missing header {header!r}")
+    rows, notes = [], []
+    for lineno, line in lines[1:]:
+        if line.startswith("#"):
+            notes.append(line.lstrip("#").strip())
+            continue
+        fields = line.split(",")
+        if len(fields) != len(columns):
+            raise ValueError(
+                f"{path}: line {lineno}: expected {len(columns)} fields, found {len(fields)}"
+            )
+        try:
+            rows.append({name: conv(field) for (name, conv), field in zip(columns, fields)})
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: malformed row {line!r}") from None
+    return rows, notes
 
 
 def format_sweep_csv(results, basis_kind: str) -> str:
-    lines = ["r,p,basis,mean_error,std_error,trials"]
-    for res in results:
-        lines.append(
-            f"{res.r},{res.p},{basis_kind},"
-            f"{res.mean_error:.17g},{res.std_error:.17g},{res.trials}"
-        )
-    return "\n".join(lines) + "\n"
+    return _table(
+        _SWEEP_COLUMNS,
+        ((c.r, c.p, basis_kind, c.mean_error, c.std_error, c.trials) for c in results),
+    )
 
 
 def parse_sweep_csv(text: str) -> list[dict]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "r,p,basis,mean_error,std_error,trials":
-        raise ValueError("missing sweep CSV header")
-    out = []
-    for ln in lines[1:]:
-        r, p, basis_kind, mean, std, trials = ln.split(",")
-        out.append(
-            {
-                "r": int(r),
-                "p": int(p),
-                "basis": basis_kind,
-                "mean_error": float(mean),
-                "std_error": float(std),
-                "trials": int(trials),
-            }
-        )
-    return out
+    """The rows of a sweep CSV; raises ValueError with the line."""
+    return _parse_table(_SWEEP_COLUMNS, text, "<sweep csv>")[0]
 
 
 def format_mf_csv(results, regime: str, tags: dict[str, str] | None = None) -> str:
-    lines = ["p_cheap,p_exp,mean_error,std_error,trials"]
-    for res in results:
-        comp = res.composition
-        lines.append(
-            f"{comp.p_cheap},{comp.p_exp},"
-            f"{res.mean_error:.17g},{res.std_error:.17g},{res.trials}"
-        )
-    lines.append(f"# regime={regime}")
-    for key, value in sorted((tags or {}).items()):
-        lines.append(f"# tag:{key}={value}")
-    return "\n".join(lines) + "\n"
+    rows = (
+        (res.composition.p_cheap, res.composition.p_exp, res.mean_error, res.std_error, res.trials)
+        for res in results
+    )
+    notes = [f"regime={regime}"] + [f"tag:{k}={v}" for k, v in sorted((tags or {}).items())]
+    return _table(_MF_COLUMNS, rows, notes)
 
 
 def parse_mf_csv(text: str, path: str = "<mf csv>"):
     """Returns (rows, regime, tags); raises ValueError with file and line."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "p_cheap,p_exp,mean_error,std_error,trials":
-        raise ValueError(f"{path}: line 1: missing composition CSV header")
-    rows = []
+    rows, notes = _parse_table(_MF_COLUMNS, text, path)
     regime = None
     tags: dict[str, str] = {}
-    for lineno, ln in enumerate(lines[1:], start=2):
-        if ln.startswith("#"):
-            body = ln.lstrip("#").strip()
-            if body.startswith("regime="):
-                regime = body.partition("=")[2]
-            elif body.startswith("tag:"):
-                key, _, value = body[4:].partition("=")
-                tags[key] = value
-            continue
-        parts = ln.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"{path}: line {lineno}: expected 5 fields, found {len(parts)}")
-        try:
-            rows.append(
-                {
-                    "p_cheap": int(parts[0]),
-                    "p_exp": int(parts[1]),
-                    "mean_error": float(parts[2]),
-                    "std_error": float(parts[3]),
-                    "trials": int(parts[4]),
-                }
-            )
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: malformed row {ln!r}") from None
+    for note in notes:
+        key, _, value = note.partition("=")
+        if key == "regime":
+            regime = value
+        elif key.startswith("tag:"):
+            tags[key[4:]] = value
     if regime is None:
         raise ValueError(f"{path}: missing '# regime=' footer")
     return rows, regime, tags
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns its outputs (path -> text, or a function that writes
+# the temp path) and the values it derived
 # ---------------------------------------------------------------------------
 
 
-def _cmd_synth(o) -> int:
-    started = _utcnow()
+def _cmd_synth(o):
     ds = synthesize(SpectrumSpec(o.a, o.b, o.n_sv), o.n, o.m, o.seed)
-    _write_atomic(o.out, lambda tmp: save_matrix(ds, tmp, o.format))
-    meta = "\n".join(
-        [
-            "kind=synthetic",
-            f"a={o.a:.17g}",
-            f"b={o.b:.17g}",
-            f"n-sv={o.n_sv}",
-            f"n={o.n}",
-            f"m={o.m}",
-            f"seed={o.seed}",
-            f"format={o.format}",
-        ]
-    )
-    _write_atomic(o.out + ".meta", meta + "\n")
-    _write_manifest(o.out + ".manifest", o, [o.out, o.out + ".meta"], started)
-    return 0
+    return {o.out: lambda tmp: save_matrix(ds, tmp, o.format)}, {}
 
 
-def _cmd_place(o) -> int:
-    started = _utcnow()
+def _cmd_place(o):
     ds = load_matrix(o.data)
     if not ds.X.any():
         # Every column ties; the plan would be sensors 0..p-1 for any p.
@@ -451,19 +461,10 @@ def _cmd_place(o) -> int:
         else:
             basis = randomized_basis(ds.X, r, o.seed)
         plan = plan_with_modes(basis, o.p, o.oversample, o.seed)
-
-    lines = ["rank,location"]
-    lines += [f"{i},{loc}" for i, loc in enumerate(plan.locations)]
-    out_csv = os.path.join(o.out_dir, "sensors.csv")
-    _write_atomic(out_csv, "\n".join(lines) + "\n")
-    _write_manifest(
-        os.path.join(o.out_dir, "manifest.txt"),
-        o,
-        [out_csv],
-        started,
-        {"modes": plan.r_used, "method": plan.method},
-    )
-    return 0
+    outputs = {
+        os.path.join(o.out_dir, "sensors.csv"): _table(_SENSORS_COLUMNS, enumerate(plan.locations))
+    }
+    return outputs, {"modes": plan.r_used, "method": plan.method}
 
 
 def _experiment(o, dataset, **settings) -> ExperimentConfig:
@@ -481,44 +482,27 @@ def _experiment(o, dataset, **settings) -> ExperimentConfig:
     )
 
 
-def _write_results(o, table: str, chart, started, derived) -> None:
-    """Write ``<command>.csv``, ``<command>.svg`` from ``chart()`` under
-    --svg, and the manifest, all in --out-dir."""
-    outputs = [os.path.join(o.out_dir, f"{o.command}.csv")]
-    _write_atomic(outputs[0], table)
-    if o.svg:
-        outputs.append(os.path.join(o.out_dir, f"{o.command}.svg"))
-        _write_atomic(outputs[1], chart())
-    _write_manifest(os.path.join(o.out_dir, "manifest.txt"), o, outputs, started, derived)
-
-
-def _cmd_sweep(o) -> int:
-    started = _utcnow()
+def _cmd_sweep(o):
     config = _experiment(
         o, load_matrix(o.data), level_cheap=o.noise_level, level_exp=o.noise_level
     )
     results = sweep_modes_sensors(config, o.r_grid, o.p_grid, threads=o.threads)
-
-    def chart():
+    outputs = {os.path.join(o.out_dir, "sweep.csv"): format_sweep_csv(results, o.basis)}
+    if o.svg:
         series = []
         for r in o.r_grid:
             cells = [res for res in results if res.r == r]
             series.append((f"r={r}", [c.p for c in cells], [c.mean_error for c in cells]))
-        return line_chart(
+        outputs[os.path.join(o.out_dir, "sweep.svg")] = line_chart(
             series,
             title=f"reconstruction error ({o.basis} basis)",
             x_label="sensors p",
             y_label="fractional error",
         )
-
-    _write_results(
-        o, format_sweep_csv(results, o.basis), chart, started, {"config-digest": config.digest()}
-    )
-    return 0
+    return outputs, {"config-digest": config.digest()}
 
 
-def _cmd_mf(o) -> int:
-    started = _utcnow()
+def _cmd_mf(o):
     config = _experiment(
         o,
         load_matrix(o.data),
@@ -535,9 +519,9 @@ def _cmd_mf(o) -> int:
         for opt in OPTIONS["mf"]
         if opt.flag.startswith("tag-") and getattr(o, opt.dest) is not None
     }
-
-    def chart():
-        return line_chart(
+    outputs = {os.path.join(o.out_dir, "mf.csv"): format_mf_csv(results, regime, tags)}
+    if o.svg:
+        outputs[os.path.join(o.out_dir, "mf.svg")] = line_chart(
             [("error", list(range(len(results))), [res.mean_error for res in results])],
             title=f"composition sweep ({regime})",
             x_label="all cheap to all expensive",
@@ -545,50 +529,26 @@ def _cmd_mf(o) -> int:
             background=_REGIME_TINTS[regime],
             x_end_labels=("C", "E"),
         )
-
-    _write_results(
-        o,
-        format_mf_csv(results, regime, tags),
-        chart,
-        started,
-        {"regime": regime, "config-digest": config.digest()},
-    )
-    return 0
+    return outputs, {"regime": regime, "config-digest": config.digest()}
 
 
-def _cmd_report(o) -> int:
+def _cmd_report(o):
     if not o.inputs:
         raise _UsageError("report needs at least one composition CSV")
-
-    started = _utcnow()
-    table: dict[tuple[str, str, str], str] = {}
-    order: list[tuple[str, str, str]] = []
+    # One row per (b, noise, counts) tag set, in first-seen order.
+    regimes: dict[tuple[str, str, str], str] = {}
     for path in o.inputs:
         with open(path, "r", encoding="utf-8") as fh:
             _, regime, tags = parse_mf_csv(fh.read(), path)
         key = (tags.get("b", ""), tags.get("noise", ""), tags.get("counts", ""))
-        if key in table:
-            if table[key] != regime:
-                raise ValueError(
-                    f"{path}: conflicting regime {regime!r} for tags {key}, "
-                    f"already recorded {table[key]!r}"
-                )
-            continue
-        table[key] = regime
-        order.append(key)
-
-    lines = ["b,noise_regime,count_regime,regime"]
-    lines += [f"{b},{noise},{counts},{table[(b, noise, counts)]}" for b, noise, counts in order]
-    out_csv = os.path.join(o.out_dir, "report.csv")
-    _write_atomic(out_csv, "\n".join(lines) + "\n")
-    _write_manifest(
-        os.path.join(o.out_dir, "manifest.txt"),
-        o,
-        [out_csv],
-        started,
-        {"inputs": ";".join(o.inputs)},
-    )
-    return 0
+        if regimes.setdefault(key, regime) != regime:
+            raise ValueError(
+                f"{path}: conflicting regime {regime!r} for tags {key}, "
+                f"already recorded {regimes[key]!r}"
+            )
+    rows = [(*key, regime) for key, regime in regimes.items()]
+    outputs = {os.path.join(o.out_dir, "report.csv"): _table(_REPORT_COLUMNS, rows)}
+    return outputs, {"inputs": ";".join(o.inputs)}
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +587,8 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _load_config_file(args.config) if args.config else {}
-        return args.func(_resolve(args, cfg))
+        _run(_resolve(args, cfg))
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64

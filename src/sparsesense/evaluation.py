@@ -31,7 +31,7 @@ import os
 import threading
 import warnings
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from hashlib import sha256
 
 import numpy as np
@@ -138,28 +138,12 @@ class ExperimentConfig:
         return int(round(self.train_fraction * self.dataset.m))
 
     def digest(self) -> str:
-        """Stable content hash of the configuration, dataset included."""
+        """Stable content hash of the configuration: the dataset, then its
+        shape and every other field in declaration order."""
         h = sha256()
         h.update(self.dataset.X.tobytes())
-        h.update(
-            repr(
-                (
-                    self.dataset.X.shape,
-                    self.basis_kind,
-                    self.policy,
-                    self.level_cheap,
-                    self.level_exp,
-                    self.assignment,
-                    self.budget,
-                    self.composition_steps,
-                    self.train_fraction,
-                    self.n_splits,
-                    self.n_placement_cv,
-                    self.n_noise,
-                    self.master_seed,
-                )
-            ).encode()
-        )
+        rest = (getattr(self, f.name) for f in fields(self) if f.name != "dataset")
+        h.update(repr((self.dataset.X.shape, *rest)).encode())
         return h.hexdigest()[:16]
 
 

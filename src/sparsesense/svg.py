@@ -21,6 +21,8 @@ _PALETTE = (
     "#7f7f7f",
 )
 
+_WIDTH = 640
+_HEIGHT = 420
 _MARGIN = 56.0
 
 
@@ -37,16 +39,13 @@ def line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 640,
-    height: int = 420,
     background: str | None = None,
     x_end_labels: tuple[str, str] | None = None,
-    log_y: bool = True,
 ) -> str:
     """Render (label, xs, ys) series to an SVG document string.
 
-    The y axis uses a log10 scale when requested and every value is
-    positive; otherwise it falls back to linear.
+    The y axis uses a log10 scale when every value is positive; otherwise
+    it falls back to linear.
     """
     if not series:
         raise ValueError("no series to plot")
@@ -54,26 +53,26 @@ def line_chart(
     all_y = [float(y) for _, _, ys in series for y in ys]
     if not all_x:
         raise ValueError("series contain no points")
-    use_log = log_y and all(y > 0.0 for y in all_y)
+    use_log = all(y > 0.0 for y in all_y)
     ys_t = [math.log10(y) for y in all_y] if use_log else all_y
     x_lo, x_hi = _spread(min(all_x), max(all_x))
     y_lo, y_hi = _spread(min(ys_t), max(ys_t))
 
-    plot_w = width - 2 * _MARGIN
-    plot_h = height - 2 * _MARGIN
+    plot_w = _WIDTH - 2 * _MARGIN
+    plot_h = _HEIGHT - 2 * _MARGIN
 
     def px(x: float) -> float:
         return _MARGIN + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(y: float) -> float:
         t = math.log10(y) if use_log else y
-        return height - _MARGIN - (t - y_lo) / (y_hi - y_lo) * plot_h
+        return _HEIGHT - _MARGIN - (t - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
     if background:
         parts.append(
@@ -82,53 +81,52 @@ def line_chart(
         )
     axis = 'stroke="#000000" stroke-width="1"'
     parts.append(
-        f'<line x1="{_MARGIN}" y1="{height - _MARGIN}" '
-        f'x2="{width - _MARGIN}" y2="{height - _MARGIN}" {axis}/>'
+        f'<line x1="{_MARGIN}" y1="{_HEIGHT - _MARGIN}" '
+        f'x2="{_WIDTH - _MARGIN}" y2="{_HEIGHT - _MARGIN}" {axis}/>'
     )
     parts.append(
-        f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" y2="{height - _MARGIN}" {axis}/>'
+        f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" y2="{_HEIGHT - _MARGIN}" {axis}/>'
     )
     if title:
         parts.append(
-            f'<text x="{width / 2}" y="{_MARGIN / 2}" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2}" y="{_MARGIN / 2}" text-anchor="middle" '
             f'font-size="15">{escape(title)}</text>'
         )
     if x_label:
         parts.append(
-            f'<text x="{width / 2}" y="{height - 12}" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2}" y="{_HEIGHT - 12}" text-anchor="middle" '
             f'font-size="12">{escape(x_label)}</text>'
         )
     if y_label:
         parts.append(
-            f'<text x="16" y="{height / 2}" text-anchor="middle" font-size="12" '
-            f'transform="rotate(-90 16 {height / 2})">{escape(y_label)}</text>'
+            f'<text x="16" y="{_HEIGHT / 2}" text-anchor="middle" font-size="12" '
+            f'transform="rotate(-90 16 {_HEIGHT / 2})">{escape(y_label)}</text>'
         )
 
+    y_tick = _HEIGHT - _MARGIN + 18
     if x_end_labels is not None:
         left, right = x_end_labels
-        y_tick = height - _MARGIN + 18
         parts.append(
             f'<text x="{_MARGIN}" y="{y_tick}" text-anchor="middle" '
             f'font-size="13">{escape(left)}</text>'
         )
         parts.append(
-            f'<text x="{width - _MARGIN}" y="{y_tick}" text-anchor="middle" '
+            f'<text x="{_WIDTH - _MARGIN}" y="{y_tick}" text-anchor="middle" '
             f'font-size="13">{escape(right)}</text>'
         )
     else:
-        y_tick = height - _MARGIN + 18
         parts.append(
             f'<text x="{_MARGIN}" y="{y_tick}" text-anchor="middle" '
             f'font-size="11">{min(all_x):g}</text>'
         )
         parts.append(
-            f'<text x="{width - _MARGIN}" y="{y_tick}" text-anchor="middle" '
+            f'<text x="{_WIDTH - _MARGIN}" y="{y_tick}" text-anchor="middle" '
             f'font-size="11">{max(all_x):g}</text>'
         )
     lo_txt = f"{10 ** y_lo:.3g}" if use_log else f"{y_lo:.3g}"
     hi_txt = f"{10 ** y_hi:.3g}" if use_log else f"{y_hi:.3g}"
     parts.append(
-        f'<text x="{_MARGIN - 6}" y="{height - _MARGIN}" text-anchor="end" '
+        f'<text x="{_MARGIN - 6}" y="{_HEIGHT - _MARGIN}" text-anchor="end" '
         f'font-size="11">{lo_txt}</text>'
     )
     parts.append(
@@ -143,7 +141,7 @@ def line_chart(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
         )
         parts.append(
-            f'<text x="{width - _MARGIN + 6}" y="{_MARGIN + 14 * idx + 10}" '
+            f'<text x="{_WIDTH - _MARGIN + 6}" y="{_MARGIN + 14 * idx + 10}" '
             f'font-size="11" fill="{color}">{escape(str(label))}</text>'
         )
 

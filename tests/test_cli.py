@@ -1,8 +1,10 @@
 """Command-line behavior: outputs, determinism, exit codes, config precedence."""
 
 import os
+import platform
 import re
 import xml.etree.ElementTree as ET
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,10 @@ from sparsesense.placement import place, plan_with_modes, qr_pivots
 
 def _run(*argv):
     return main(list(argv))
+
+
+def _manifest_items(path) -> dict[str, str]:
+    return dict(line.split("=", 1) for line in Path(path).read_text().splitlines())
 
 
 def _make_dataset(tmp_path, name="d.bin", n=40, m=60, b=-1.1, seed=7):
@@ -38,11 +44,12 @@ def _make_dataset(tmp_path, name="d.bin", n=40, m=60, b=-1.1, seed=7):
 def test_synth_writes_dataset_meta_and_manifest(tmp_path):
     path = _make_dataset(tmp_path)
     assert os.path.exists(path)
-    meta = Path(path + ".meta").read_text()
-    assert "kind=synthetic" in meta and "b=-1.1" in meta
-    manifest = Path(path + ".manifest").read_text()
-    assert "command=synth" in manifest
-    assert "file.d.bin=sha256:" in manifest
+    # The manifest is the one record of the run: no .meta sidecar.
+    assert sorted(os.listdir(tmp_path)) == ["d.bin", "d.bin.manifest"]
+    items = _manifest_items(Path(path + ".manifest"))
+    assert items["command"] == "synth"
+    assert float(items["arg.b"]) == -1.1
+    assert items["file.d.bin"].startswith("sha256:")
     ds = load_matrix(path)
     assert ds.X.shape == (40, 60)
 
@@ -144,7 +151,7 @@ def test_place_with_modes_is_the_library_plan_on_that_basis(tmp_path, basis, ove
         else:
             want = plan_with_modes(modes, p, oversample, 5)
     assert _placed(out) == want.locations.tolist()
-    manifest = (out / "manifest.txt").read_text()
+    manifest = (out / "manifest.txt").read_text().splitlines()
     assert "modes=8" in manifest and f"method={want.method}" in manifest
 
 
@@ -186,7 +193,7 @@ def test_place_the_library_and_sweeps_agree_on_the_mode_count(tmp_path, kind, p,
         "--out-dir", str(out),
     ) == 0
     manifest = (out / "manifest.txt").read_text().splitlines()
-    assert f"arg.modes={r}" in manifest
+    assert f"modes={r}" in manifest
     assert place(svd_basis(X, min(n, m)), p, seed=5).r_used == r
     # A sweep over 10 snapshots trains on 8 of them: the same (n, m).
     config = ExperimentConfig(dataset=Dataset(rng.standard_normal((n, 10)), "e"), basis_kind=kind)
@@ -275,6 +282,27 @@ def test_results_csv_floats_round_trip_exactly():
     for cell, row in zip(cells, rows):
         assert row["mean_error"] == cell.mean_error
         assert row["std_error"] == cell.std_error
+
+
+_SWEEP_HEAD = "r,p,basis,mean_error,std_error,trials\n4,8,svd,0.5,0.01,8\n\n"
+_MF_HEAD = "p_cheap,p_exp,mean_error,std_error,trials\n10,0,0.5,0.01,8\n\n"
+_parse_runs_mf = partial(parse_mf_csv, path="runs/mf.csv")
+
+
+# Each bad row is its file's fourth line, after a blank one.
+@pytest.mark.parametrize("parse,text,message", [
+    (parse_sweep_csv, _SWEEP_HEAD + "4,8,svd,0.5,0.01\n",
+     "<sweep csv>: line 4: expected 6 fields, found 5"),
+    (parse_sweep_csv, _SWEEP_HEAD + "4,8,svd,half,0.01,8\n", "<sweep csv>: line 4: malformed row"),
+    (_parse_runs_mf, _MF_HEAD + "10,0,0.5,0.01\n# regime=cheap\n",
+     "runs/mf.csv: line 4: expected 5 fields, found 4"),
+    (_parse_runs_mf, _MF_HEAD + "10,0,half,0.01,8\n# regime=cheap\n",
+     "runs/mf.csv: line 4: malformed row"),
+], ids=["sweep-short", "sweep-non-numeric", "mf-short", "mf-non-numeric"])
+def test_results_csv_parsers_name_the_file_and_line_of_a_bad_row(parse, text, message):
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    assert str(info.value).startswith(message)
 
 
 def test_sweep_svg_well_formed_with_polyline_per_r(tmp_path):
@@ -739,6 +767,54 @@ def test_synth_place_and_report_manifests_record_the_blas(tmp_path):
         lines = Path(manifest).read_text().splitlines()
         assert f"blas={record['blas']}" in lines
         assert f"blas-threads={record['blas-threads']}" in lines
+
+
+# The values each command works out itself; its manifest gives each one a
+# line of its own, never an ``arg.`` line.
+_DERIVED = {
+    "synth": set(),
+    "place": {"modes", "method"},
+    "sweep": {"config-digest"},
+    "mf": {"config-digest", "regime"},
+    "report": {"inputs"},
+}
+_RUN_FACTS = ("tool", "command", "master-seed", "started", "finished", "python", "numpy",
+              "blas", "blas-threads")
+
+
+def test_manifest_args_are_recorded_flags_and_derived_values_have_their_own_lines(tmp_path):
+    data = _make_dataset(tmp_path)
+    runs = {command: _valid_args(command, data, tmp_path / command)
+            for command in ("synth", "place", "sweep", "mf")}
+    runs["report"] = ["report", str(tmp_path / "mf" / "mf.csv"), "--out-dir",
+                      str(tmp_path / "report")]
+    for command, args in runs.items():
+        assert main(args) == 0
+        out = tmp_path / command
+        items = _manifest_items(out / ("x.bin.manifest" if command == "synth" else "manifest.txt"))
+        recorded = {opt.flag for opt in OPTIONS[command] if opt.record}
+
+        def section(key):
+            if key.startswith("arg."):
+                assert key[4:] in recorded, (command, key)
+                return 2
+            if key.startswith("file."):
+                assert (out / key[5:]).is_file(), (command, key)
+                return 3
+            assert key in _RUN_FACTS or key in _DERIVED[command], (command, key)
+            return 0 if key in _RUN_FACTS else 1
+
+        # Run facts, then derived values, then recorded flags, then digests.
+        sections = [section(key) for key in items]
+        assert sections == sorted(sections), command
+        assert set(_RUN_FACTS) | _DERIVED[command] <= set(items), command
+        assert items["python"] == platform.python_version()
+        assert items["numpy"] == np.__version__
+    place = _manifest_items(tmp_path / "place" / "manifest.txt")
+    assert (place["modes"], place["method"]) == ("4", "qr")
+    _, regime, _ = parse_mf_csv((tmp_path / "mf" / "mf.csv").read_text())
+    assert _manifest_items(tmp_path / "mf" / "manifest.txt")["regime"] == regime
+    assert _manifest_items(tmp_path / "report" / "manifest.txt")["inputs"] == runs["report"][1]
 
 
 # A non-default value for every option, as command-line text. "{data}" and

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -463,6 +464,35 @@ def test_config_digest_tracks_content():
     c = ExperimentConfig(dataset=ds, master_seed=2)
     assert a.digest() == b.digest()
     assert a.digest() != c.digest()
+
+
+# A valid value other than the default for every field but the dataset; a
+# field added to ExperimentConfig needs one here.
+_OTHER_FIELD_VALUES = {
+    "basis_kind": "randomized",
+    "policy": PlacementPolicy(oversample="odeim-e"),
+    "level_cheap": 0.03,
+    "level_exp": 0.005,
+    "assignment": "exp-last",
+    "budget": budget_from_endpoints(10, 2, 0.5),
+    "composition_steps": 5,
+    "train_fraction": 0.7,
+    "n_splits": 3,
+    "n_placement_cv": 4,
+    "n_noise": 5,
+    "master_seed": 1,
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig) if f.name != "dataset"])
+def test_config_digest_changes_with_every_field(name):
+    assert set(_OTHER_FIELD_VALUES) == {
+        f.name for f in fields(ExperimentConfig) if f.name != "dataset"
+    }
+    base = ExperimentConfig(dataset=_rank_limited_dataset())
+    other = replace(base, **{name: _OTHER_FIELD_VALUES[name]})
+    assert getattr(other, name) != getattr(base, name)
+    assert other.digest() != base.digest()
 
 
 def test_sigma_min_oversampling_through_sweep():

@@ -60,6 +60,54 @@ def test_no_module_imports_a_private_name_from_another():
     assert found == {}
 
 
+def _writes_outside(source: str, writer: str) -> list[str]:
+    """Calls outside function ``writer`` that open a file for writing or
+    append, or rename one with ``os.replace``/``os.rename``."""
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, ast.FunctionDef):
+            inside = inside or node.name == writer
+        if isinstance(node, ast.Call) and not inside:
+            name = ast.unparse(node.func)
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None
+            )
+            if name in ("os.replace", "os.rename") or (
+                name == "open"
+                and mode is not None
+                and not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+            ):
+                found.append(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("def _write_atomic(p):\n    open(p, 'wb')\n    os.replace(p, p)\n", []),
+        ("def f(p):\n    open(p, 'r')\n    open(p, mode='rb')\n    open(p)\n", []),
+        ("def f(p):\n    open(p, 'a')\n", ["open"]),
+        ("def f(p, m):\n    open(p, mode=m)\n", ["open"]),
+        ("def f(p):\n    os.replace(p, p + '.x')\n", ["os.replace"]),
+        ("os.rename('a', 'b')\n", ["os.rename"]),
+    ],
+)
+def test_write_scan(source, expected):
+    assert _writes_outside(source, "_write_atomic") == expected
+
+
+def test_the_cli_writes_files_only_through_its_atomic_writer():
+    # Every output and the manifest go through one temp-file-and-rename path.
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert "def _write_atomic(" in source
+    assert _writes_outside(source, "_write_atomic") == []
+
+
 def test_importing_the_package_loads_only_numpy_and_the_standard_library():
     # Every CLI run and library user pays this import before any work, so
     # the command-line front end and the chart writer stay out of it.
