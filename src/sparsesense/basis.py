@@ -13,33 +13,30 @@ BASIS_KINDS = ("svd", "randomized")
 
 @dataclass(frozen=True)
 class Basis:
-    """An n x r mode matrix with its provenance.
+    """An n x r mode matrix and the kind of basis it is.
 
     SVD bases have orthonormal columns; randomized bases are raw column
     mixtures of the training data (deliberately not orthonormalized, the
-    pseudoinverse in the reconstruction absorbs their conditioning) and
-    carry the generator seed.
+    pseudoinverse in the reconstruction absorbs their conditioning).
     """
 
     psi: np.ndarray
     kind: str
-    r: int
-    seed: int | None = None
 
     def __post_init__(self):
         if self.kind not in BASIS_KINDS:
             raise ValueError(f"kind must be one of {BASIS_KINDS}, got {self.kind!r}")
         psi = as_matrix(self.psi, "psi").view()
         psi.setflags(write=False)
-        if psi.shape[1] != self.r:
-            raise ValueError(f"psi has {psi.shape[1]} columns but r = {self.r}")
-        if self.kind == "randomized" and self.seed is None:
-            raise ValueError("randomized basis requires its generator seed")
         object.__setattr__(self, "psi", psi)
 
     @property
     def n(self) -> int:
         return self.psi.shape[0]
+
+    @property
+    def r(self) -> int:
+        return self.psi.shape[1]
 
 
 def svd_basis(Xtr, r: int) -> Basis:
@@ -55,7 +52,7 @@ def svd_basis(Xtr, r: int) -> Basis:
     psi = U[:, :r].copy()
     flip = psi[np.abs(psi).argmax(axis=0), np.arange(r)] < 0.0
     psi[:, flip] *= -1.0
-    return Basis(psi, "svd", r)
+    return Basis(psi, "svd")
 
 
 def randomized_basis(Xtr, r: int, seed: int) -> Basis:
@@ -68,7 +65,7 @@ def randomized_basis(Xtr, r: int, seed: int) -> Basis:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     G = gaussian_matrix(Xtr.shape[1], r, seed)
-    return Basis(Xtr @ G, "randomized", r, seed)
+    return Basis(Xtr @ G, "randomized")
 
 
 def truncate_basis(basis: Basis, r: int) -> Basis:
@@ -81,4 +78,4 @@ def truncate_basis(basis: Basis, r: int) -> Basis:
         raise ValueError(f"r must be in [1, {basis.r}], got {r}")
     if r == basis.r:
         return basis
-    return Basis(basis.psi[:, :r], basis.kind, r, basis.seed)
+    return Basis(basis.psi[:, :r], basis.kind)

@@ -21,14 +21,18 @@ so one file can drive several subcommands but cannot misspell a key.
 Exit codes: 0 success, 64 usage error, 65 bad or inconsistent input data,
 2 I/O failure.
 
-Each command returns its outputs and the values it derived; ``_run`` writes
-every output atomically (temp file + rename) and then the manifest, the one
-record of a run: ``manifest.txt`` in --out-dir, or ``<out>.manifest`` for
-synth. Its lines are, in order: the run facts (tool, command, master-seed,
-started, finished, python, numpy, blas, blas-threads); the derived values
-(place: modes, method; sweep: config-digest; mf: config-digest, regime;
-report: inputs); ``arg.<flag>`` for each recorded option, defaults included,
-and for nothing else; and ``file.<name>=sha256:<hex>`` for each output.
+Each command returns the data files it read, its outputs and the values it
+derived; ``_run`` writes every output atomically (temp file + rename) and
+then the manifest, the one record of a run: ``manifest.txt`` in --out-dir,
+or ``<out>.manifest`` for synth. Its lines are, in order: the run facts
+(tool, command, master-seed, started, finished, python, numpy, blas,
+blas-threads); the derived values (place: modes, method; sweep:
+config-digest; mf: config-digest, regime; report: inputs); ``arg.<flag>``
+for each recorded option, defaults included, and for nothing else;
+``input.<path>=sha256:<hex>`` for each data file read; and
+``file.<name>=sha256:<hex>`` for each output. Floats in the manifest are
+written as their ``repr``, the shortest text that reads back to the same
+float; result tables write them to 17 significant digits.
 """
 
 from __future__ import annotations
@@ -310,9 +314,15 @@ def _show(value) -> str:
     return str(value)
 
 
-def _manifest(o, started: str, outputs, derived: dict) -> str:
+def _record(value) -> str:
+    """A manifest value: a float as its repr, anything else as in a table."""
+    return repr(value) if isinstance(value, float) else _show(value)
+
+
+def _manifest(o, started: str, inputs, outputs, derived: dict) -> str:
     """The run facts, the ``derived`` values, an ``arg.`` line for every
-    recorded option that has a value, and each output's digest."""
+    recorded option that has a value, each input's digest and each
+    output's digest."""
     recorded = {
         opt.flag: getattr(o, opt.dest)
         for opt in OPTIONS[o.command]
@@ -328,8 +338,9 @@ def _manifest(o, started: str, outputs, derived: dict) -> str:
         f"numpy={np.__version__}",
     ]
     lines += [f"{key}={value}" for key, value in kernels.blas_record().items()]
-    lines += [f"{key}={_show(value)}" for key, value in sorted(derived.items())]
-    lines += [f"arg.{key}={_show(value)}" for key, value in sorted(recorded.items())]
+    lines += [f"{key}={_record(value)}" for key, value in sorted(derived.items())]
+    lines += [f"arg.{key}={_record(value)}" for key, value in sorted(recorded.items())]
+    lines += [f"input.{p}=sha256:{_digest_file(p)}" for p in inputs]
     lines += [
         f"file.{os.path.basename(p)}=sha256:{_digest_file(p)}" for p in sorted(outputs)
     ]
@@ -339,14 +350,14 @@ def _manifest(o, started: str, outputs, derived: dict) -> str:
 def _run(o) -> None:
     """Run ``o.command``, write each output it returns, then the manifest."""
     started = _utcnow()
-    outputs, derived = o.func(o)
+    inputs, outputs, derived = o.func(o)
     for path, payload in outputs.items():
         _write_atomic(path, payload)
     if o.command == "synth":
         manifest = o.out + ".manifest"
     else:
         manifest = os.path.join(o.out_dir, "manifest.txt")
-    _write_atomic(manifest, _manifest(o, started, outputs, derived))
+    _write_atomic(manifest, _manifest(o, started, inputs, outputs, derived))
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +448,14 @@ def parse_mf_csv(text: str, path: str = "<mf csv>"):
 
 
 # ---------------------------------------------------------------------------
-# Commands: each returns its outputs (path -> text, or a function that writes
-# the temp path) and the values it derived
+# Commands: each returns the data files it read, its outputs (path -> text, or
+# a function that writes the temp path) and the values it derived
 # ---------------------------------------------------------------------------
 
 
 def _cmd_synth(o):
     ds = synthesize(SpectrumSpec(o.a, o.b, o.n_sv), o.n, o.m, o.seed)
-    return {o.out: lambda tmp: save_matrix(ds, tmp, o.format)}, {}
+    return [], {o.out: lambda tmp: save_matrix(ds, tmp, o.format)}, {}
 
 
 def _cmd_place(o):
@@ -464,7 +475,7 @@ def _cmd_place(o):
     outputs = {
         os.path.join(o.out_dir, "sensors.csv"): _table(_SENSORS_COLUMNS, enumerate(plan.locations))
     }
-    return outputs, {"modes": plan.r_used, "method": plan.method}
+    return [o.data], outputs, {"modes": plan.r_used, "method": plan.method}
 
 
 def _experiment(o, dataset, **settings) -> ExperimentConfig:
@@ -499,7 +510,7 @@ def _cmd_sweep(o):
             x_label="sensors p",
             y_label="fractional error",
         )
-    return outputs, {"config-digest": config.digest()}
+    return [o.data], outputs, {"config-digest": config.digest()}
 
 
 def _cmd_mf(o):
@@ -529,7 +540,7 @@ def _cmd_mf(o):
             background=_REGIME_TINTS[regime],
             x_end_labels=("C", "E"),
         )
-    return outputs, {"regime": regime, "config-digest": config.digest()}
+    return [o.data], outputs, {"regime": regime, "config-digest": config.digest()}
 
 
 def _cmd_report(o):
@@ -548,7 +559,7 @@ def _cmd_report(o):
             )
     rows = [(*key, regime) for key, regime in regimes.items()]
     outputs = {os.path.join(o.out_dir, "report.csv"): _table(_REPORT_COLUMNS, rows)}
-    return outputs, {"inputs": ";".join(o.inputs)}
+    return o.inputs, outputs, {"inputs": ";".join(o.inputs)}
 
 
 # ---------------------------------------------------------------------------

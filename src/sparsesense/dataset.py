@@ -8,7 +8,6 @@ and a prescribed power-law singular spectrum sigma_i = a * i**b.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,23 +48,10 @@ class SpectrumSpec:
 
 
 @dataclass(frozen=True)
-class SyntheticSource:
-    spec: SpectrumSpec
-    seed: int
-
-
-@dataclass(frozen=True)
-class FileSource:
-    path: str
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """An n x m snapshot matrix with a label and provenance."""
+    """An n x m snapshot matrix, read-only."""
 
     X: np.ndarray
-    name: str
-    provenance: SyntheticSource | FileSource | None = None
 
     def __post_init__(self):
         X = as_matrix(self.X, "X").view()
@@ -122,8 +108,7 @@ def synthesize(spec: SpectrumSpec, n: int, m: int, seed: int) -> Dataset:
         U = random_orthonormal_columns(n, spec.n_sv, derive_seed(seed, _LEFT_FACTOR_TAG))
         V = random_orthonormal_columns(m, spec.n_sv, derive_seed(seed, _RIGHT_FACTOR_TAG))
         X = (U * sigma) @ V.T
-    name = f"synthetic(a={spec.amplitude:g}, b={spec.exponent:g}, n_sv={spec.n_sv})"
-    return Dataset(X, name, SyntheticSource(spec, seed))
+    return Dataset(X)
 
 
 def split(ds: Dataset, train_fraction: float, seed: int) -> SplitDataset:
@@ -302,7 +287,7 @@ def _load_csv(path: str) -> Dataset:
 
 def _wrap_loaded(X: np.ndarray, path: str) -> Dataset:
     try:
-        return Dataset(np.ascontiguousarray(X), os.path.basename(path), FileSource(path))
+        return Dataset(np.ascontiguousarray(X))
     except ValueError as exc:
         raise MatrixFormatError(f"{path}: {exc}") from None
 

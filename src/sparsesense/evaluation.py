@@ -16,7 +16,10 @@ factorization. Both are pure accelerators, so results are bit-for-bit those
 of a fresh cache.
 
 Every sensor plan, in a sweep as in a single trial, comes from
-:func:`placement.plan_with_modes`, given the cached pivots.
+:func:`placement.plan_with_modes`, given the cached pivots, and its
+per-sensor noise levels from :func:`multifidelity.assign_fidelities`. A
+composition is only the (cheap, expensive) counts; which plan rows get the
+expensive sensors is the configuration's ``assignment``.
 
 Trials and sweeps run with numpy's BLAS pinned to one thread
 (:func:`kernels.single_blas_thread`), so a sweep's thread pool is its only
@@ -31,12 +34,12 @@ import os
 import threading
 import warnings
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from hashlib import sha256
 
 import numpy as np
 
-from .basis import Basis, randomized_basis, svd_basis, truncate_basis
+from .basis import BASIS_KINDS, Basis, randomized_basis, svd_basis, truncate_basis
 from .dataset import Dataset, overall_variance, split
 from .linalg import lstsq_minnorm
 from .multifidelity import (
@@ -115,7 +118,7 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.basis_kind not in ("svd", "randomized"):
+        if self.basis_kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.basis_kind!r}")
         if self.assignment not in ASSIGNMENTS:
             raise ValueError(f"assignment must be one of {ASSIGNMENTS}")
@@ -329,8 +332,9 @@ def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
     """Fractional reconstruction error of one fully seeded trial.
 
     cell is either an (r, p) pair, single fidelity: the plan's p sensors as
-    Composition(p, 0), all at level_cheap; or a Composition. Identical
-    inputs give identical output on one platform.
+    Composition(p, 0), all at level_cheap; or a Composition, whose expensive
+    sensors sit where ``config.assignment`` puts them. Identical inputs give
+    identical output on one platform.
     """
     for idx, bound, what in (
         (split_idx, config.n_splits, "split_idx"),
@@ -350,7 +354,9 @@ def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
         else:
             plan = _get_plan(config, pair, split_idx, cv_idx, p)
             noise = NoiseModel(config.level_cheap, config.level_exp, sd.variance)
-            sigmas = assign_fidelities(plan, comp or Composition(p, 0), noise)
+            sigmas = assign_fidelities(
+                plan, comp or Composition(p, 0), noise, config.assignment
+            )
             if memo is not None:
                 memo["plan"] = plan, sigmas
         Y = noisy_measure(
@@ -371,12 +377,12 @@ def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
 
     Every split record, with its SVD basis of every mode for SVD bases, is
     built on the calling thread first. Then one task per (split, r), largest
-    r first, builds that pair's record (basis and CPQR pivots) and, for
-    odeim-e, the plan at the largest p of its cells, and runs its cells'
-    plan groups: each group opens its plan's solve memo, runs the cell's
-    trials that share the plan in (cv, noise) order, writing each error by
-    index, and drops the memo, so each Theta is factored once per cell. A
-    repeated cell is run once.
+    r first, builds that pair's record (basis and CPQR pivots) and runs its
+    cells' plan groups, largest p first, so that for odeim-e the first
+    group builds the plan every later one takes a prefix of. Each group
+    opens its plan's solve memo, runs the cell's trials that share the plan
+    in (cv, noise) order, writing each error by index, and drops the memo,
+    so each Theta is factored once per cell. A repeated cell is run once.
 
     The tasks go to one pool of min(threads, cpu count) workers; threads = 1
     runs them in order on the calling thread. The pool only reads the split
@@ -396,10 +402,9 @@ def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
 
     def run_task(s, r):
         pair = _get_pair(config, cache, s, r)
-        longest = max(p for p, *_ in by_r[r])
-        if config.policy.oversample == "odeim-e" and longest > pair.pivots.size:
-            _get_plan(config, pair, s, 0, longest)
-        for p, comp, cell, out in by_r[r]:
+        # Longest p first: its group builds the odeim-e plan that every
+        # shorter p of this (split, r) takes a prefix of.
+        for p, comp, cell, out in sorted(by_r[r], key=lambda item: -item[0]):
             varies = _plan_varies_with_cv(config, r, p)
             for cvs in [[c] for c in range(n_cv)] if varies else [range(n_cv)]:
                 if stop.is_set():
@@ -485,12 +490,8 @@ def mf_sweep(config, threads: int = 1) -> list[CompositionResult]:
     _check_threads(threads)
     if config.budget is None:
         raise ValueError("mf_sweep needs a budget in the configuration")
-    comps = [
-        replace(c, assignment=config.assignment)
-        for c in enumerate_compositions(config.budget, config.composition_steps)
-    ]
     runnable = []
-    for comp in comps:
+    for comp in enumerate_compositions(config.budget, config.composition_steps):
         if comp.p == 0:
             warnings.warn(f"skipping composition {comp}: places zero sensors")
             continue

@@ -1,5 +1,9 @@
 """Two-fidelity measurement model: noise levels, budgets, compositions.
 
+A composition is a (cheap, expensive) count pair. Which plan rows get the
+expensive sensors is the experiment's choice (``ExperimentConfig.assignment``),
+passed to :func:`assign_fidelities` when sigmas are built.
+
 Noise levels are variance fractions: a sensor at level v adds zero-mean
 Gaussian noise with variance v times the reference variance of the data.
 Budget arithmetic runs in exact rational arithmetic (floats are dyadic
@@ -73,17 +77,14 @@ class BudgetSpec:
 
 @dataclass(frozen=True)
 class Composition:
-    """A (cheap, expensive) sensor-count pair and where the expensive ones go."""
+    """A (cheap, expensive) sensor-count pair."""
 
     p_cheap: int
     p_exp: int
-    assignment: str = "exp-first"
 
     def __post_init__(self):
         if self.p_cheap < 0 or self.p_exp < 0:
             raise ValueError("sensor counts must be non-negative")
-        if self.assignment not in ASSIGNMENTS:
-            raise ValueError(f"assignment must be one of {ASSIGNMENTS}")
 
     @property
     def p(self) -> int:
@@ -138,12 +139,13 @@ def enumerate_compositions(budget: BudgetSpec, steps: int) -> list[Composition]:
 
 
 def assign_fidelities(
-    plan: SensorPlan, comp: Composition, noise: NoiseModel
+    plan: SensorPlan, comp: Composition, noise: NoiseModel, assignment: str
 ) -> np.ndarray:
     """Per-sensor noise standard deviations in plan order.
 
-    exp-first puts the expensive sensors on the leading (QR-pivot) locations,
-    exp-last on the trailing (oversampled) ones.
+    assignment is one of ``ASSIGNMENTS``: exp-first puts the expensive
+    sensors on the leading (QR-pivot) locations, exp-last on the trailing
+    (oversampled) ones.
     """
     p = plan.p
     if comp.p_cheap + comp.p_exp != p:
@@ -151,8 +153,10 @@ def assign_fidelities(
             f"composition totals {comp.p_cheap} + {comp.p_exp} sensors "
             f"but the plan has {p}"
         )
+    if assignment not in ASSIGNMENTS:
+        raise ValueError(f"assignment must be one of {ASSIGNMENTS}")
     sigmas = np.empty(p)
-    if comp.assignment == "exp-first":
+    if assignment == "exp-first":
         sigmas[: comp.p_exp] = noise.sigma_exp
         sigmas[comp.p_exp :] = noise.sigma_cheap
     else:

@@ -5,6 +5,7 @@ import platform
 import re
 import xml.etree.ElementTree as ET
 from functools import partial
+from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -186,7 +187,7 @@ def test_place_the_library_and_sweeps_agree_on_the_mode_count(tmp_path, kind, p,
     rng = np.random.default_rng(3)
     X = rng.standard_normal((n, m))
     data = str(tmp_path / "d.bin")
-    save_matrix(Dataset(X, "d"), data)
+    save_matrix(Dataset(X), data)
     out = tmp_path / "placed"
     assert _run(
         "place", "--data", data, "--p", str(p), "--basis", kind, "--seed", "5",
@@ -196,7 +197,7 @@ def test_place_the_library_and_sweeps_agree_on_the_mode_count(tmp_path, kind, p,
     assert f"modes={r}" in manifest
     assert place(svd_basis(X, min(n, m)), p, seed=5).r_used == r
     # A sweep over 10 snapshots trains on 8 of them: the same (n, m).
-    config = ExperimentConfig(dataset=Dataset(rng.standard_normal((n, 10)), "e"), basis_kind=kind)
+    config = ExperimentConfig(dataset=Dataset(rng.standard_normal((n, 10))), basis_kind=kind)
     assert config.m_train == m
     assert evaluation._resolve_cell(config, Composition(p, 0))[0] == r
 
@@ -385,7 +386,7 @@ def test_corrupt_data_files_are_data_errors_naming_the_file(tmp_path, capsys, co
 
 def test_sweep_on_all_zero_data_is_a_data_error(tmp_path, capsys):
     data = str(tmp_path / "zero.bin")
-    save_matrix(Dataset(np.zeros((40, 60)), "zero"), data)
+    save_matrix(Dataset(np.zeros((40, 60))), data)
     out = tmp_path / "out"
     capsys.readouterr()
     assert main(_sweep_args(data, out)) == 65
@@ -417,7 +418,7 @@ def test_bad_noise_levels_are_data_errors_before_any_split(
 @pytest.mark.parametrize("basis", ["svd", "randomized"])
 def test_place_on_all_zero_data_is_a_data_error(tmp_path, capsys, basis, oversample):
     data = str(tmp_path / "zero.bin")
-    save_matrix(Dataset(np.zeros((20, 30)), "zero"), data)
+    save_matrix(Dataset(np.zeros((20, 30))), data)
     out = tmp_path / "out"
     capsys.readouterr()
     # Two modes and five sensors, so the oversampler runs too.
@@ -749,10 +750,38 @@ def test_mf_manifest_records_every_protocol_option(tmp_path):
     assert main(_mf_args(data, out, extra=extra)) == 0
     lines = (out / "manifest.txt").read_text().splitlines()
     for line in ("arg.basis=randomized", "arg.oversample=random",
-                 "arg.train-fraction=0.80000000000000004", "arg.tag-b=-1.1",
-                 "arg.tag-noise=low-high", "arg.splits=2", "arg.level-cheap=0.40000000000000002"):
+                 "arg.train-fraction=0.8", "arg.tag-b=-1.1",
+                 "arg.tag-noise=low-high", "arg.splits=2", "arg.level-cheap=0.4"):
         assert line in lines
     assert not any(line.startswith(("arg.tag-counts", "arg.svg", "arg.threads")) for line in lines)
+    # A float option is written as its repr: the shortest text that reads
+    # back to the same float.
+    items = _manifest_items(out / "manifest.txt")
+    floats = [opt.flag for opt in OPTIONS["mf"] if _takes_float(opt)]
+    assert floats == ["cost-cheap", "level-cheap", "level-exp", "band", "train-fraction"]
+    for flag in floats:
+        value = items[f"arg.{flag}"]
+        assert value == repr(float(value)), flag
+
+
+def _takes_float(opt) -> bool:
+    try:
+        return isinstance(opt.conv("0.5"), float)
+    except ValueError:
+        return False
+
+
+def test_place_manifest_records_the_digest_of_its_data(tmp_path):
+    digests = []
+    for seed in (7, 8):
+        # The same path each time, rewritten with other data.
+        data = _make_dataset(tmp_path, seed=seed)
+        out = tmp_path / f"placed-{seed}"
+        assert _run("place", "--data", data, "--p", "6", "--out-dir", str(out)) == 0
+        line = _manifest_items(out / "manifest.txt")[f"input.{data}"]
+        assert line == f"sha256:{sha256(Path(data).read_bytes()).hexdigest()}"
+        digests.append(line)
+    assert digests[0] != digests[1]
 
 
 def test_synth_place_and_report_manifests_record_the_blas(tmp_path):
@@ -798,15 +827,20 @@ def test_manifest_args_are_recorded_flags_and_derived_values_have_their_own_line
             if key.startswith("arg."):
                 assert key[4:] in recorded, (command, key)
                 return 2
+            if key.startswith("input."):
+                assert Path(key[6:]).is_file(), (command, key)
+                return 3
             if key.startswith("file."):
                 assert (out / key[5:]).is_file(), (command, key)
-                return 3
+                return 4
             assert key in _RUN_FACTS or key in _DERIVED[command], (command, key)
             return 0 if key in _RUN_FACTS else 1
 
-        # Run facts, then derived values, then recorded flags, then digests.
+        # Run facts, then derived values, then recorded flags, then the
+        # digests of the inputs and of the outputs.
         sections = [section(key) for key in items]
         assert sections == sorted(sections), command
+        assert (3 in sections) == (command != "synth"), command
         assert set(_RUN_FACTS) | _DERIVED[command] <= set(items), command
         assert items["python"] == platform.python_version()
         assert items["numpy"] == np.__version__

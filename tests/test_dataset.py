@@ -7,7 +7,6 @@ import pytest
 
 from sparsesense.dataset import (
     Dataset,
-    FileSource,
     MatrixFormatError,
     MatrixParseError,
     SpectrumSpec,
@@ -218,13 +217,13 @@ def test_fit_power_law_rejects_nonpositive():
 
 def _tiny_dataset():
     X = np.array([[1.0, -2.5], [3.25e-7, 4.0], [1.0 / 3.0, 9.9e12]])
-    return Dataset(X, "tiny")
+    return Dataset(X)
 
 
 def test_binary_byte_layout(tmp_path):
     import struct
 
-    ds = Dataset(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), "t")
+    ds = Dataset(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
     path = str(tmp_path / "layout.bin")
     save_matrix(ds, path, "binary")
     blob = Path(path).read_bytes()
@@ -240,7 +239,6 @@ def test_binary_round_trip_is_exact(tmp_path):
     save_matrix(ds, path, "binary")
     back = load_matrix(path)
     np.testing.assert_array_equal(back.X, ds.X)
-    assert back.provenance == FileSource(path)
 
 
 def test_csv_round_trip_is_exact(tmp_path):

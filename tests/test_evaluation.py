@@ -46,7 +46,7 @@ def _rank_limited_dataset(n=60, m=40, rank=6, seed=0):
 def test_reconstruct_identity_basis_full_sensing():
     rng = np.random.default_rng(0)
     Y = rng.standard_normal((4, 6))
-    basis = Basis(np.eye(4), "svd", 4)
+    basis = Basis(np.eye(4), "svd")
     plan = SensorPlan(np.arange(4), "qr", 4)
     np.testing.assert_allclose(reconstruct(basis, plan, Y), Y, atol=1e-12)
 
@@ -267,8 +267,8 @@ def test_mf_endpoints_match_single_fidelity_runs_exactly():
         master_seed=23,
     )
     results = mf_sweep(config)
-    assert results[0].composition == Composition(10, 0, "exp-first")
-    assert results[-1].composition == Composition(0, 3, "exp-first")
+    assert results[0].composition == Composition(10, 0)
+    assert results[-1].composition == Composition(0, 3)
     # The all-cheap endpoint equals a single-fidelity sweep cell with the
     # same seeds and the rule-derived mode count.
     p = 10
@@ -365,8 +365,6 @@ def test_mf_respects_assignment_option():
     last = mf_sweep(ExperimentConfig(assignment="exp-last", **base))
     # Interior composition has both fidelities; moving the quiet sensors
     # changes the trial outcome.
-    assert first[1].composition.assignment == "exp-first"
-    assert last[1].composition.assignment == "exp-last"
     assert first[1].mean_error != last[1].mean_error
     # Endpoints are single-fidelity, so the assignment cannot matter.
     assert first[0].mean_error == last[0].mean_error
@@ -647,6 +645,18 @@ def test_mf_sweep_equals_fresh_trials_exactly():
         assert (res.mean_error, res.std_error) == _fresh_summary(config, res.composition)
 
 
+@pytest.mark.parametrize("assignment", ["exp-first", "exp-last"])
+def test_run_trial_on_counts_reproduces_each_mf_composition(assignment):
+    # The configuration owns the assignment: a trial given only the counts
+    # places the expensive sensors where the sweep did.
+    config = _mf_config(assignment=assignment)
+    results = mf_sweep(config)
+    assert any(res.composition.p_cheap and res.composition.p_exp for res in results)
+    for res in results:
+        counts = Composition(res.composition.p_cheap, res.composition.p_exp)
+        assert (res.mean_error, res.std_error) == _fresh_summary(config, counts)
+
+
 def test_mf_randomized_composition_is_clamped_to_the_training_shape():
     # 10 snapshots train on 8; the all-cheap endpoint's 20 sensors ask the
     # rule for 10 modes, more than a basis from 8 snapshots can span.
@@ -786,9 +796,9 @@ def test_odeim_sweep_builds_each_plan_once(monkeypatch):
     groups = _plan_groups(config, cells)
     assert groups == len(cells) * config.n_splits
     assert counts["measure"] == groups
-    # Preparing each (split, r) also builds the longest plan once, to fill
-    # the greedy tail.
-    assert counts["_get_plan"] == groups + 2 * config.n_splits
+    # The longest p of each (split, r) runs first and builds the greedy
+    # tail; every other group takes a prefix of it.
+    assert counts["_get_plan"] == groups
 
 
 @pytest.mark.parametrize("oversample", ["random", "odeim-e"])
@@ -858,7 +868,7 @@ def test_error_in_place_equals_fractional_error(shape, seed):
     X = rng.standard_normal((n, r)) @ rng.standard_normal((r, 2 * m_test))
     level = 10.0 ** rng.uniform(-24, 0)
     config = ExperimentConfig(
-        dataset=Dataset(X * 10.0 ** rng.uniform(-5, 5), "rank-r"),
+        dataset=Dataset(X * 10.0 ** rng.uniform(-5, 5)),
         level_cheap=level, level_exp=level, train_fraction=0.5,
         n_splits=1, n_placement_cv=1, n_noise=1, master_seed=seed,
     )
@@ -882,7 +892,7 @@ def test_error_in_place_rejects_zero_reference(monkeypatch):
                derive_seed(config.master_seed, evaluation._TAG_SPLIT, 0))
     X = config.dataset.X.copy()
     X[:, sd.test_indices] = 0.0
-    config = _noisy_config(dataset=Dataset(X, "zero-test"), n_splits=1)
+    config = _noisy_config(dataset=Dataset(X), n_splits=1)
     svds = []
     monkeypatch.setattr(evaluation, "svd_basis", lambda *args: svds.append(args))
     cache = evaluation._SweepCache()
@@ -1043,7 +1053,7 @@ def test_sweeps_on_zero_variance_data(basis_kind, oversample):
     # Every snapshot is the same constant field: the data has rank one and
     # its variance, so every noise level, is zero.
     config = _noisy_config(
-        dataset=Dataset(np.full((30, 24), 2.5), "constant"),
+        dataset=Dataset(np.full((30, 24), 2.5)),
         basis_kind=basis_kind,
         policy=PlacementPolicy(small_p_threshold=4, oversample=oversample),
         budget=budget_from_endpoints(12, 4, 1.0),

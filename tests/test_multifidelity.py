@@ -127,33 +127,39 @@ def _plan(p):
 
 def test_assign_exp_first():
     noise = NoiseModel(0.04, 0.01, 1.0)
-    sig = assign_fidelities(_plan(4), Composition(2, 2, "exp-first"), noise)
+    sig = assign_fidelities(_plan(4), Composition(2, 2), noise, "exp-first")
     np.testing.assert_allclose(sig, [0.1, 0.1, 0.2, 0.2])
 
 
 def test_assign_exp_last():
     noise = NoiseModel(0.04, 0.01, 1.0)
-    sig = assign_fidelities(_plan(4), Composition(2, 2, "exp-last"), noise)
+    sig = assign_fidelities(_plan(4), Composition(2, 2), noise, "exp-last")
     np.testing.assert_allclose(sig, [0.2, 0.2, 0.1, 0.1])
 
 
 @pytest.mark.parametrize("assignment", ["exp-first", "exp-last"])
 def test_assign_all_cheap_when_no_expensive(assignment):
     noise = NoiseModel(0.04, 0.01, 1.0)
-    sig = assign_fidelities(_plan(3), Composition(3, 0, assignment), noise)
+    sig = assign_fidelities(_plan(3), Composition(3, 0), noise, assignment)
     np.testing.assert_allclose(sig, [0.2, 0.2, 0.2])
 
 
 def test_assign_counts_exactly_p_exp_expensive_entries():
     noise = NoiseModel(0.09, 0.01, 1.0)
-    sig = assign_fidelities(_plan(7), Composition(4, 3), noise)
+    sig = assign_fidelities(_plan(7), Composition(4, 3), noise, "exp-first")
     assert int(np.sum(sig == noise.sigma_exp)) == 3
 
 
 def test_assign_rejects_count_mismatch():
     noise = NoiseModel(0.04, 0.01, 1.0)
     with pytest.raises(ValueError):
-        assign_fidelities(_plan(4), Composition(2, 3), noise)
+        assign_fidelities(_plan(4), Composition(2, 3), noise, "exp-first")
+
+
+def test_assign_rejects_unknown_assignment():
+    noise = NoiseModel(0.04, 0.01, 1.0)
+    with pytest.raises(ValueError, match="assignment must be one of"):
+        assign_fidelities(_plan(4), Composition(2, 2), noise, "middle")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from sparsesense.placement import (
 
 def _basis_from(psi):
     psi = np.asarray(psi, dtype=float)
-    return Basis(psi, "svd", psi.shape[1])
+    return Basis(psi, "svd")
 
 
 # ---------------------------------------------------------------------------
