@@ -27,7 +27,7 @@ then the manifest, the one record of a run: ``manifest.txt`` in --out-dir,
 or ``<out>.manifest`` for synth. Its lines are, in order: the run facts
 (tool, command, master-seed, started, finished, python, numpy, blas,
 blas-threads); the derived values (place: modes, method; sweep:
-config-digest; mf: config-digest, regime; report: inputs); ``arg.<flag>``
+config-digest; mf: config-digest, regime); ``arg.<flag>``
 for each recorded option, defaults included, and for nothing else;
 ``input.<path>=sha256:<hex>`` for each data file read; and
 ``file.<name>=sha256:<hex>`` for each output. Floats in the manifest are
@@ -559,7 +559,7 @@ def _cmd_report(o):
             )
     rows = [(*key, regime) for key, regime in regimes.items()]
     outputs = {os.path.join(o.out_dir, "report.csv"): _table(_REPORT_COLUMNS, rows)}
-    return o.inputs, outputs, {"inputs": ";".join(o.inputs)}
+    return o.inputs, outputs, {}
 
 
 # ---------------------------------------------------------------------------

@@ -6,20 +6,27 @@ split index, placement-CV index, noise index) with an avalanche-quality
 mixer, so results are pure functions of the configuration and independent of
 execution schedule. The optional cache memoizes per-split work in two
 records. One per split holds the split, with a row-major copy of the test
-snapshots, the training variance, ||X_test|| and, for SVD sweeps, the SVD
-basis of every mode. One per (split, r) holds the basis (for SVD sweeps a
-view of the split's leading modes), its CPQR pivots and the longest odeim-e
-plan built so far. While a sweep runs the trials that share one sensor plan,
-it also memoizes what is fixed for that plan: the plan itself, the
-per-sensor noise levels, the measurement matrix Theta and its
-factorization. Both are pure accelerators, so results are bit-for-bit those
-of a fresh cache.
+snapshots (the order in which trials gather sensor rows), the training
+variance, ||X_test|| and, for SVD sweeps, the SVD basis of every mode. One
+per (split, r) holds the basis (for SVD sweeps a view of the split's
+leading modes), its CPQR pivots, the test set in an orthonormal frame of
+the basis and the longest odeim-e plan built so far. While a sweep runs the
+trials that share one sensor plan, it also memoizes what is fixed for that
+plan: the plan itself, the per-sensor noise levels, the measurement matrix
+Theta and its factorization. Both are pure accelerators, so results are
+bit-for-bit those of a fresh cache.
 
 Every sensor plan, in a sweep as in a single trial, comes from
 :func:`placement.plan_with_modes`, given the cached pivots, and its
 per-sensor noise levels from :func:`multifidelity.assign_fidelities`. A
 composition is only the (cheap, expensive) counts; which plan rows get the
 expensive sensors is the configuration's ``assignment``.
+
+A trial scores its estimate in coefficient space. The estimate Psi c lies
+in range(Psi); with Psi = Q F for an orthonormal Q, its error splits
+orthogonally into ||X_test - Q Q^T X_test||_F^2, fixed per (split, r), and
+||F c - Q^T X_test||_F^2, an r x m term, so no trial forms an n x m
+array.
 
 Trials and sweeps run with numpy's BLAS pinned to one thread
 (:func:`kernels.single_blas_thread`), so a sweep's thread pool is its only
@@ -66,8 +73,13 @@ REGIME_INCONCLUSIVE = "inconclusive"
 REGIME_MIXED_BEST = "mixed-best"
 
 
-def reconstruct(basis: Basis, plan: SensorPlan, Y, memo: dict | None = None) -> np.ndarray:
+def reconstruct(
+    basis: Basis, plan: SensorPlan, Y, memo: dict | None = None, coefficients: bool = False
+) -> np.ndarray:
     """Full-state estimate from sparse measurements: Psi @ pinv(Theta) @ Y.
+
+    With ``coefficients`` it returns the r x m mode coefficients
+    c = pinv(Theta) @ Y instead of the n x m estimate Psi @ c.
 
     ``memo`` must belong to this basis and plan: the first call stores Theta
     in it, and it is passed on to :func:`lstsq_minnorm`.
@@ -77,7 +89,8 @@ def reconstruct(basis: Basis, plan: SensorPlan, Y, memo: dict | None = None) -> 
         theta = measure(basis.psi, plan)
         if memo is not None:
             memo["theta"] = theta
-    return basis.psi @ lstsq_minnorm(theta, Y, memo=memo)
+    c = lstsq_minnorm(theta, Y, memo=memo)
+    return c if coefficients else basis.psi @ c
 
 
 def fractional_error(X, Xhat) -> float:
@@ -216,10 +229,9 @@ class _SweepCache:
 @dataclass(frozen=True)
 class _SplitRecord:
     """One split: the training set; the test snapshots as one row-major
-    array, the order in which trials gather sensor rows and subtract
-    estimates; the training data's overall variance; ||test||_F, never 0;
-    and for SVD sweeps the SVD basis of every mode, whose column prefixes
-    are the split's bases."""
+    array, the order in which trials gather sensor rows; the training
+    data's overall variance; ||test||_F, never 0; and for SVD sweeps the
+    SVD basis of every mode, whose column prefixes are the split's bases."""
 
     train: np.ndarray
     test: np.ndarray
@@ -230,12 +242,27 @@ class _SplitRecord:
 
 @dataclass
 class _PairRecord:
-    """One split at r modes: the basis, its first min(r, n) CPQR pivots and
-    the longest odeim-e plan built so far."""
+    """One split at r modes: the basis, its first min(r, n) CPQR pivots,
+    the test set in an orthonormal frame Q of the basis, and the longest
+    odeim-e plan built so far.
+
+    With Psi = Q F, ``frame`` is F, or None when the basis is its own frame
+    (SVD modes, F = I); ``coords`` is A = Q^T X_test and ``perp2`` is
+    ||X_test - Q A||_F^2, the part of the test set that no estimate in
+    range(Psi) reaches. Q itself is read only to build these.
+    """
 
     basis: Basis
     pivots: np.ndarray
+    frame: np.ndarray | None
+    coords: np.ndarray
+    perp2: float
     greedy: SensorPlan | None = None
+
+
+def _sumsq(a: np.ndarray) -> float:
+    """Sum of squares of every entry of a, ||a||_F^2."""
+    return float(np.vdot(a, a))
 
 
 def _get_split(config, cache, split_idx) -> _SplitRecord:
@@ -265,10 +292,19 @@ def _get_pair(config, cache, split_idx, r) -> _PairRecord:
         sd = _get_split(config, cache, split_idx)
         if sd.modes is not None:
             basis = truncate_basis(sd.modes, r)
+            Q, F = basis.psi, None
         else:
             seed = derive_seed(config.master_seed, _TAG_BASIS, split_idx)
             basis = randomized_basis(sd.train, r, seed)
-        pair = _PairRecord(basis, qr_pivots(basis, min(r, basis.n)).locations)
+            Q, F = np.linalg.qr(basis.psi)
+        A = Q.T @ sd.test
+        # perp2 is the residual's own square sum: ||X||^2 - ||A||^2 would
+        # cancel to about eps ||X||^2 and turn exact recovery into ~1e-8.
+        perp = Q @ A
+        perp -= sd.test
+        pair = _PairRecord(
+            basis, qr_pivots(basis, min(r, basis.n)).locations, F, A, _sumsq(perp)
+        )
         cache.pairs[split_idx, r] = pair
     return pair
 
@@ -365,11 +401,14 @@ def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
             sigmas,
             derive_seed(config.master_seed, _TAG_NOISE, split_idx, cv_idx, noise_idx),
         )
-        # The estimate is the trial's own, so it becomes Xhat - X in place:
-        # the norm of X - Xhat bit for bit.
-        Xhat = reconstruct(pair.basis, plan, Y, memo=memo)
-        Xhat -= sd.test
-        return float(np.linalg.norm(Xhat) / sd.test_norm)
+        # The estimate Psi c = Q (F c) lies in range(Q), so its error splits
+        # orthogonally: ||X - Psi c||^2 = perp2 + ||F c - A||^2. c is the
+        # trial's own, so the r x m difference is formed in place.
+        diff = reconstruct(pair.basis, plan, Y, memo=memo, coefficients=True)
+        if pair.frame is not None:
+            diff = pair.frame @ diff
+        diff -= pair.coords
+        return math.sqrt(pair.perp2 + _sumsq(diff)) / sd.test_norm
 
 
 def _sweep_errors(config, cells, threads) -> list[np.ndarray]:

@@ -123,15 +123,16 @@ def lstsq_minnorm(Theta, Y, memo: dict | None = None) -> np.ndarray:
     stores the truncated factors in it and later calls reuse them instead of
     factoring again, applying the same arithmetic to the same factors, so
     the solution is bit-for-bit the one a call without a memo returns. The
-    caller must pass a given memo only with the Theta that filled it.
+    caller must pass a given memo only with the Theta that filled it: Theta
+    is scanned for NaN and Inf only when its factors are computed.
     """
-    Theta = as_matrix(Theta, "Theta")
+    factors = None if memo is None else memo.get("pinv")
+    Theta = as_matrix(Theta, "Theta", require_finite=factors is None)
     Y = as_matrix(Y, "Y", require_finite=False)
     if Y.shape[0] != Theta.shape[0]:
         raise ValueError(
             f"row mismatch: Theta has {Theta.shape[0]} rows, Y has {Y.shape[0]}"
         )
-    factors = None if memo is None else memo.get("pinv")
     if factors is None:
         U, s, Vh = np.linalg.svd(Theta, full_matrices=False)
         keep = s > rank_cutoff(s, Theta.shape)

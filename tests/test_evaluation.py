@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sparsesense import evaluation, kernels
-from sparsesense.basis import Basis, svd_basis
+from sparsesense.basis import Basis, randomized_basis, svd_basis
 from sparsesense.dataset import Dataset, SpectrumSpec, overall_variance, split, synthesize
 from sparsesense.evaluation import (
     CellResult,
@@ -854,34 +854,84 @@ def test_split_cache_keeps_a_row_major_test_matrix():
 # ---------------------------------------------------------------------------
 
 
+# run_trial scores a draw in coefficient space, sqrt(perp2 + ||F c - A||^2),
+# the full-state ||X_test - Psi c|| split by Pythagoras; the two sum their
+# squares in different orders, so they agree to roundoff, not bit for bit.
+_COEF_ATOL = 32 * np.finfo(np.float64).eps
+
+
+def _full_state_error(config, r, p):
+    """fractional_error(X_test, reconstruct(...)) of trial (0, 0, 0) at (r, p),
+    built from the public functions run_trial composes."""
+    seed = config.master_seed
+    sd = split(config.dataset, config.train_fraction,
+               derive_seed(seed, evaluation._TAG_SPLIT, 0))
+    if config.basis_kind == "svd":
+        basis = svd_basis(sd.train, r)
+    else:
+        basis = randomized_basis(sd.train, r, derive_seed(seed, evaluation._TAG_BASIS, 0))
+    plan = plan_with_modes(
+        basis, p, "random", derive_seed(seed, evaluation._TAG_PLACEMENT, 0, 0)
+    )
+    sigmas = np.full(p, np.sqrt(config.level_cheap * overall_variance(sd.train)))
+    Y = noisy_measure(sd.test, plan, sigmas, derive_seed(seed, evaluation._TAG_NOISE, 0, 0, 0))
+    return sd.test, fractional_error(sd.test, reconstruct(basis, plan, Y))
+
+
+def _rank_r_config(rng, n, m_test, rank, level, seed, **overrides):
+    # Data of the given rank, scaled from 1e-5 to 1e5, half of it test.
+    X = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, 2 * m_test))
+    return ExperimentConfig(
+        dataset=Dataset(X * 10.0 ** rng.uniform(-5, 5)),
+        level_cheap=level, level_exp=level, train_fraction=0.5,
+        n_splits=1, n_placement_cv=1, n_noise=1, master_seed=seed, **overrides,
+    )
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (40, 13), (300, 17)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_error_in_place_equals_fractional_error(shape, seed):
-    # run_trial turns its estimate into Xhat - X_test in place; its error is
-    # fractional_error(X_test, Xhat) of the same plan and draw, bit for bit.
-    # shape is X_test's; the data has rank r, scales from 1e-5 to 1e5 and
-    # noise from 1e-12 to 1 of its spread, so the error spans roundoff to O(1).
+    # run_trial's coefficient-space error is fractional_error(X_test, Xhat)
+    # of the same plan and draw, to a few dozen eps. shape is X_test's; the
+    # data has rank r, scales from 1e-5 to 1e5 and noise from 1e-12 to 1 of
+    # its spread, so the error spans roundoff to O(1).
     n, m_test = shape
     rng = np.random.default_rng(seed)
     r = min(n, m_test, 4)
     p = min(n, 2 * r)
-    X = rng.standard_normal((n, r)) @ rng.standard_normal((r, 2 * m_test))
-    level = 10.0 ** rng.uniform(-24, 0)
-    config = ExperimentConfig(
-        dataset=Dataset(X * 10.0 ** rng.uniform(-5, 5)),
-        level_cheap=level, level_exp=level, train_fraction=0.5,
-        n_splits=1, n_placement_cv=1, n_noise=1, master_seed=seed,
+    config = _rank_r_config(rng, n, m_test, r, 10.0 ** rng.uniform(-24, 0), seed)
+    X_test, want = _full_state_error(config, r, p)
+    assert X_test.shape == shape
+    assert abs(run_trial(config, 0, 0, 0, (r, p)) - want) <= _COEF_ATOL
+
+
+@pytest.mark.parametrize("r", [2, 5, 9, 30])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_randomized_frame_error_equals_fractional_error(r, seed):
+    # A randomized basis is not orthonormal: run_trial scores it in the frame
+    # of its QR factors, Psi = Q F. r runs below, at and above the rank 5 of
+    # the data, and past n = 24, where Psi has more columns than rows.
+    n, m_test, rank = 24, 11, 5
+    rng = np.random.default_rng(seed)
+    p = min(n, r + 4)
+    config = _rank_r_config(
+        rng, n, m_test, rank, 10.0 ** rng.uniform(-24, 0), seed, basis_kind="randomized"
     )
-    sd = split(config.dataset, 0.5, derive_seed(seed, evaluation._TAG_SPLIT, 0))
-    assert sd.test.shape == shape
-    basis = svd_basis(sd.train, r)
-    plan = plan_with_modes(
-        basis, p, "random", derive_seed(seed, evaluation._TAG_PLACEMENT, 0, 0)
-    )
-    sigmas = np.full(p, np.sqrt(level * overall_variance(sd.train)))
-    Y = noisy_measure(sd.test, plan, sigmas, derive_seed(seed, evaluation._TAG_NOISE, 0, 0, 0))
-    want = fractional_error(sd.test, reconstruct(basis, plan, Y))
-    assert run_trial(config, 0, 0, 0, (r, p)) == want
+    _, want = _full_state_error(config, r, p)
+    assert abs(run_trial(config, 0, 0, 0, (r, p)) - want) <= _COEF_ATOL
+
+
+@pytest.mark.parametrize("basis_kind", ["svd", "randomized"])
+@pytest.mark.parametrize("seed", range(4))
+def test_noise_free_rank_r_recovery_scores_roundoff(basis_kind, seed):
+    # The test set lies in range(Psi), so the part of it no estimate reaches
+    # is roundoff, and so is the error. perp2 is the residual's own square
+    # sum; ||X||^2 - ||A||^2 would cancel to about eps ||X||^2 and read 1e-8.
+    r = 4
+    rng = np.random.default_rng(seed)
+    config = _rank_r_config(rng, 60, 20, r, 0.0, seed, basis_kind=basis_kind)
+    for p in (r, 2 * r):
+        assert run_trial(config, 0, 0, 0, (r, p)) <= 1e-12
 
 
 def test_error_in_place_rejects_zero_reference(monkeypatch):

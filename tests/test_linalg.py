@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from sparsesense import linalg
 from sparsesense.linalg import (
     PivotResult,
     condition_number,
@@ -319,6 +320,32 @@ def test_lstsq_memo_is_bit_identical_and_factors_once(theta, monkeypatch):
     assert len(calls) == 1
     if not theta.any():
         assert not any(out.any() for out in fresh)
+
+
+def test_lstsq_memo_hit_skips_the_finite_scan_but_checks_the_rows(monkeypatch):
+    theta = np.random.default_rng(3).standard_normal((9, 4))
+    Y = np.random.default_rng(4).standard_normal((9, 2))
+    scans = []
+    as_matrix = linalg.as_matrix
+    monkeypatch.setattr(
+        linalg,
+        "as_matrix",
+        lambda A, name="matrix", require_finite=True: (
+            scans.append((name, require_finite)) or as_matrix(A, name, require_finite)
+        ),
+    )
+    memo = {}
+    first = lstsq_minnorm(theta, Y, memo=memo)
+    again = lstsq_minnorm(theta, Y, memo=memo)
+    assert np.array_equal(first, again)
+    # Theta is scanned for NaN and Inf once, when its factors are computed.
+    assert [scan for scan in scans if scan[0] == "Theta"] == [
+        ("Theta", True), ("Theta", False)
+    ]
+    with pytest.raises(ValueError, match="row mismatch"):
+        lstsq_minnorm(theta, np.ones((8, 2)), memo=memo)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        lstsq_minnorm(np.full((9, 4), np.nan), Y, memo={})
 
 
 def test_lstsq_rank_deficient_drops_small_singular_values():
