@@ -5,10 +5,12 @@ and regime classification. Every trial seed is derived from (master seed,
 split index, placement-CV index, noise index) with an avalanche-quality
 mixer, so results are pure functions of the configuration and independent of
 execution schedule. The optional cache memoizes per-split work in two
-records. One per split holds the split, with a row-major copy of the test
-snapshots (the order in which trials gather sensor rows), the training
-variance, ||X_test|| and, for SVD sweeps, the SVD basis of every mode. One
-per (split, r) holds the basis (for SVD sweeps a view of the split's
+records, each holding only what later work reads. One per split holds a
+row-major copy of the test snapshots (the order in which trials gather
+sensor rows), ||X_test||, the split's noise model and what its bases are
+built from: for SVD sweeps the SVD basis of every mode, so no training
+matrix outlives its split's SVD, for randomized sweeps the training matrix.
+One per (split, r) holds the basis (for SVD sweeps a view of the split's
 leading modes), its CPQR pivots, the test set in an orthonormal frame of
 the basis and the longest odeim-e plan built so far. While a sweep runs the
 trials that share one sensor plan, it also memoizes what is fixed for that
@@ -81,14 +83,18 @@ def reconstruct(
     With ``coefficients`` it returns the r x m mode coefficients
     c = pinv(Theta) @ Y instead of the n x m estimate Psi @ c.
 
-    ``memo`` must belong to this basis and plan: the first call stores Theta
-    in it, and it is passed on to :func:`lstsq_minnorm`.
+    ``memo`` is an optional caller-owned dict. A call stores the basis, the
+    plan and their Theta in it, and a later call with those same basis and
+    plan objects reuses that Theta; any other call measures its own and
+    refills the memo. The memo is passed on to :func:`lstsq_minnorm`.
     """
-    theta = None if memo is None else memo.get("theta")
-    if theta is None:
+    hit = None if memo is None else memo.get("theta")
+    if hit is not None and hit[0] is basis and hit[1] is plan:
+        theta = hit[2]
+    else:
         theta = measure(basis.psi, plan)
         if memo is not None:
-            memo["theta"] = theta
+            memo["theta"] = basis, plan, theta
     c = lstsq_minnorm(theta, Y, memo=memo)
     return c if coefficients else basis.psi @ c
 
@@ -213,8 +219,10 @@ class _SweepCache:
 
     ``solves`` maps a trial's :func:`_solve_key` to the memo of its plan:
     :func:`run_trial` stores the plan and the per-sensor sigmas in it on the
-    group's first trial, :func:`reconstruct` Theta, and
-    :func:`lstsq_minnorm` Theta's factors. Only :func:`_sweep_errors` opens
+    group's first trial, :func:`reconstruct` Theta with the basis and plan
+    it measured, and :func:`lstsq_minnorm` Theta's factors with that Theta;
+    each reuses its entry only for the same objects, which every trial of
+    the group passes. Only :func:`_sweep_errors` opens
     one, for the group of trials of one cell sharing that plan, and drops it
     when the group is done, so at most one such memo per worker thread is
     alive and none outlives a sweep.
@@ -228,16 +236,17 @@ class _SweepCache:
 
 @dataclass(frozen=True)
 class _SplitRecord:
-    """One split: the training set; the test snapshots as one row-major
-    array, the order in which trials gather sensor rows; the training
-    data's overall variance; ||test||_F, never 0; and for SVD sweeps the
-    SVD basis of every mode, whose column prefixes are the split's bases."""
+    """One split: the test snapshots as one row-major array, the order in
+    which trials gather sensor rows; ||test||_F, never 0; the noise model
+    at the training data's overall variance; and what every basis of the
+    split is built from: for SVD sweeps the SVD basis of every mode, whose
+    column prefixes are the split's bases, for randomized sweeps the
+    training matrix. An SVD sweep keeps no training matrix."""
 
-    train: np.ndarray
     test: np.ndarray
-    variance: float
     test_norm: float
-    modes: Basis | None
+    noise: NoiseModel
+    source: Basis | np.ndarray
 
 
 @dataclass
@@ -280,8 +289,9 @@ def _get_split(config, cache, split_idx) -> _SplitRecord:
             raise ValueError("reference matrix has zero norm")
         train, test = sd.train, np.ascontiguousarray(sd.test)
         del sd  # frees the column-gathered test set before the SVD
-        modes = svd_basis(train, min(train.shape)) if config.basis_kind == "svd" else None
-        hit = _SplitRecord(train, test, overall_variance(train), test_norm, modes)
+        noise = NoiseModel(config.level_cheap, config.level_exp, overall_variance(train))
+        source = svd_basis(train, min(train.shape)) if config.basis_kind == "svd" else train
+        hit = _SplitRecord(test, test_norm, noise, source)
         cache.splits[split_idx] = hit
     return hit
 
@@ -290,12 +300,12 @@ def _get_pair(config, cache, split_idx, r) -> _PairRecord:
     pair = cache.pairs.get((split_idx, r))
     if pair is None:
         sd = _get_split(config, cache, split_idx)
-        if sd.modes is not None:
-            basis = truncate_basis(sd.modes, r)
+        if config.basis_kind == "svd":
+            basis = truncate_basis(sd.source, r)
             Q, F = basis.psi, None
         else:
             seed = derive_seed(config.master_seed, _TAG_BASIS, split_idx)
-            basis = randomized_basis(sd.train, r, seed)
+            basis = randomized_basis(sd.source, r, seed)
             Q, F = np.linalg.qr(basis.psi)
         A = Q.T @ sd.test
         # perp2 is the residual's own square sum: ||X||^2 - ||A||^2 would
@@ -389,9 +399,8 @@ def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
             plan, sigmas = memo["plan"]
         else:
             plan = _get_plan(config, pair, split_idx, cv_idx, p)
-            noise = NoiseModel(config.level_cheap, config.level_exp, sd.variance)
             sigmas = assign_fidelities(
-                plan, comp or Composition(p, 0), noise, config.assignment
+                plan, comp or Composition(p, 0), sd.noise, config.assignment
             )
             if memo is not None:
                 memo["plan"] = plan, sigmas
@@ -415,7 +424,8 @@ def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
     """Errors of every trial of every cell, each in (split, cv, noise) order.
 
     Every split record, with its SVD basis of every mode for SVD bases, is
-    built on the calling thread first. Then one task per (split, r), largest
+    built on the calling thread first; an SVD split drops its training
+    matrix once that basis exists. Then one task per (split, r), largest
     r first, builds that pair's record (basis and CPQR pivots) and runs its
     cells' plan groups, largest p first, so that for odeim-e the first
     group builds the plan every later one takes a prefix of. Each group

@@ -119,15 +119,17 @@ def lstsq_minnorm(Theta, Y, memo: dict | None = None) -> np.ndarray:
     :func:`rank_cutoff` treated as zero; an all-zero Theta therefore yields
     an all-zero solution rather than an error.
 
-    ``memo`` is an optional caller-owned dict for one Theta. The first call
-    stores the truncated factors in it and later calls reuse them instead of
-    factoring again, applying the same arithmetic to the same factors, so
-    the solution is bit-for-bit the one a call without a memo returns. The
-    caller must pass a given memo only with the Theta that filled it: Theta
-    is scanned for NaN and Inf only when its factors are computed.
+    ``memo`` is an optional caller-owned dict. A call stores Theta and its
+    truncated factors in it, and a later call with that same Theta object
+    (``is``; its entries unchanged) reuses the factors instead of factoring
+    again, applying the same arithmetic to the same factors, so the solution
+    is bit-for-bit the one a call without a memo returns. A call with any
+    other Theta factors it and refills the memo. Theta is scanned for NaN
+    and Inf only when its factors are computed.
     """
-    factors = None if memo is None else memo.get("pinv")
-    Theta = as_matrix(Theta, "Theta", require_finite=factors is None)
+    hit = None if memo is None else memo.get("pinv")
+    factors = hit[1] if hit is not None and hit[0] is Theta else None
+    key, Theta = Theta, as_matrix(Theta, "Theta", require_finite=factors is None)
     Y = as_matrix(Y, "Y", require_finite=False)
     if Y.shape[0] != Theta.shape[0]:
         raise ValueError(
@@ -138,7 +140,7 @@ def lstsq_minnorm(Theta, Y, memo: dict | None = None) -> np.ndarray:
         keep = s > rank_cutoff(s, Theta.shape)
         factors = (U[:, keep], s[keep, None], Vh[keep])
         if memo is not None:
-            memo["pinv"] = factors
+            memo["pinv"] = key, factors
     U_keep, s_keep, Vh_keep = factors
     if s_keep.size == 0:
         return np.zeros((Theta.shape[1], Y.shape[1]))

@@ -1,8 +1,10 @@
 """Reconstruction, error metrics, trial seeding, sweeps, classification."""
 
+import gc
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -24,7 +26,12 @@ from sparsesense.evaluation import (
     run_trial,
     sweep_modes_sensors,
 )
-from sparsesense.multifidelity import Composition, budget_from_endpoints, noisy_measure
+from sparsesense.multifidelity import (
+    Composition,
+    NoiseModel,
+    budget_from_endpoints,
+    noisy_measure,
+)
 from sparsesense.placement import (
     PlacementPolicy,
     SensorPlan,
@@ -67,6 +74,19 @@ def test_reconstruct_exact_recovery_in_span():
     Y = sd.test[plan.locations]
     Xhat = reconstruct(basis, plan, Y)
     assert fractional_error(sd.test, Xhat) <= 1e-8
+
+
+def test_reconstruct_memo_reuses_theta_only_for_the_same_basis_and_plan():
+    rng = np.random.default_rng(5)
+    basis = svd_basis(rng.standard_normal((12, 9)), 4)
+    other = svd_basis(rng.standard_normal((12, 9)), 4)
+    plan_a = plan_with_modes(basis, 6, "random", 1)
+    plan_b = plan_with_modes(basis, 6, "random", 2)
+    assert plan_a.locations.tolist() != plan_b.locations.tolist()
+    Y = rng.standard_normal((6, 3))
+    memo = {}
+    for b, plan in [(basis, plan_a), (basis, plan_b), (other, plan_b), (basis, plan_a)]:
+        assert np.array_equal(reconstruct(b, plan, Y, memo=memo), reconstruct(b, plan, Y))
 
 
 def test_fractional_error_trivials():
@@ -811,8 +831,12 @@ def test_sweep_plans_are_the_library_plans_on_the_cached_basis(basis_kind, overs
         pair = evaluation._get_pair(config, cache, s, r)
         basis = pair.basis
         if basis_kind == "svd":
-            train = evaluation._get_split(config, cache, s).train
-            assert np.array_equal(basis.psi, svd_basis(train, r).psi)
+            own = split(
+                config.dataset,
+                config.train_fraction,
+                derive_seed(config.master_seed, evaluation._TAG_SPLIT, s),
+            )
+            assert np.array_equal(basis.psi, svd_basis(own.train, r).psi)
         # QR-only below and at r, then two oversampled p sharing r: the
         # shorter first, the longer, and the shorter again from the longer.
         for p in (4, 6, 9, 15, 9):
@@ -828,25 +852,34 @@ def test_sweep_plans_are_the_library_plans_on_the_cached_basis(basis_kind, overs
 
 
 def test_split_cache_keeps_a_row_major_test_matrix():
-    config = _noisy_config()
-    cache = evaluation._SweepCache()
-    for s in range(config.n_splits):
-        sd = evaluation._get_split(config, cache, s)
-        own = split(
-            config.dataset,
-            config.train_fraction,
-            derive_seed(config.master_seed, evaluation._TAG_SPLIT, s),
-        )
-        # The column gather gives a column-major test set; the cache holds a
-        # row-major copy of it and no other.
-        assert own.test.flags.f_contiguous and not own.test.flags.c_contiguous
-        assert sd.test.flags.c_contiguous and sd.test.base is None
-        assert np.array_equal(sd.test, own.test)
-        assert np.array_equal(sd.train, own.train)
-        # The norm is the split's own array's, summed in its memory order.
-        assert sd.test_norm == float(np.linalg.norm(own.test))
-        assert sd.variance == overall_variance(own.train)
-        assert evaluation._get_split(config, cache, s) is sd
+    for basis_kind in ("svd", "randomized"):
+        config = _noisy_config(basis_kind=basis_kind)
+        cache = evaluation._SweepCache()
+        for s in range(config.n_splits):
+            sd = evaluation._get_split(config, cache, s)
+            own = split(
+                config.dataset,
+                config.train_fraction,
+                derive_seed(config.master_seed, evaluation._TAG_SPLIT, s),
+            )
+            # The column gather gives a column-major test set; the cache
+            # holds a row-major copy of it and no other.
+            assert own.test.flags.f_contiguous and not own.test.flags.c_contiguous
+            assert sd.test.flags.c_contiguous and sd.test.base is None
+            assert np.array_equal(sd.test, own.test)
+            # Pairs are built from the SVD basis of every mode, or from the
+            # training matrix itself.
+            if basis_kind == "svd":
+                want = svd_basis(own.train, min(own.train.shape)).psi
+                assert np.array_equal(sd.source.psi, want)
+            else:
+                assert np.array_equal(sd.source, own.train)
+            # The norm is the split's own array's, summed in its memory order.
+            assert sd.test_norm == float(np.linalg.norm(own.test))
+            assert sd.noise == NoiseModel(
+                config.level_cheap, config.level_exp, overall_variance(own.train)
+            )
+            assert evaluation._get_split(config, cache, s) is sd
 
 
 # ---------------------------------------------------------------------------
@@ -1144,19 +1177,66 @@ def test_a_sweep_keeps_one_record_per_split_and_per_split_and_r(
     assert sorted(cache.pairs) == [(s, r) for s in splits for r in r_grid]
     assert cache.solves == {}
     for s in splits:
-        modes = cache.splits[s].modes
-        assert (modes is None) == (basis_kind == "randomized")
+        source = cache.splits[s].source
+        assert isinstance(source, Basis) == (basis_kind == "svd")
         for r in r_grid:
             pair = cache.pairs[s, r]
             assert pair.basis.r == r and pair.pivots.size == r
             # SVD bases are views of the split's modes, not copies.
-            if modes is not None:
-                assert np.shares_memory(pair.basis.psi, modes.psi)
+            if basis_kind == "svd":
+                assert np.shares_memory(pair.basis.psi, source.psi)
             # Only odeim-e sweeps keep a greedy plan: the longest, p = 10.
             if oversample == "odeim-e":
                 assert pair.greedy.p == 10
             else:
                 assert pair.greedy is None
+
+
+def test_svd_split_records_drop_the_training_matrix(monkeypatch):
+    refs = []  # a weakref to each split's training matrix, in build order
+    caches = []
+    split_impl = evaluation.split
+
+    def recording_split(*args):
+        sd = split_impl(*args)
+        refs.append(weakref.ref(sd.train))
+        return sd
+
+    class RecordingCache(evaluation._SweepCache):
+        def __init__(self):
+            super().__init__()
+            caches.append(self)
+
+    monkeypatch.setattr(evaluation, "split", recording_split)
+    monkeypatch.setattr(evaluation, "_SweepCache", RecordingCache)
+    for basis_kind in ("svd", "randomized"):
+        config = _noisy_config(basis_kind=basis_kind)
+        sweep_modes_sensors(config, [4, 6], [5, 10], threads=2)
+    gc.collect()
+    n = config.n_splits
+    assert len(refs) == 2 * n and [len(cache.splits) for cache in caches] == [n, n]
+    # An SVD split builds its pairs from its modes and keeps no training
+    # matrix; a randomized split builds them from the training matrix.
+    assert all(ref() is None for ref in refs[:n])
+    assert all(ref() is caches[1].splits[s].source for s, ref in enumerate(refs[n:]))
+
+
+def test_each_split_builds_one_noise_model(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return NoiseModel(*args)
+
+    # A configuration checks its levels with a NoiseModel of its own, so
+    # both are made before the count starts.
+    sweep_config, mf_config = _noisy_config(), _mf_config()
+    monkeypatch.setattr(evaluation, "NoiseModel", counting)
+    results = mf_sweep(mf_config, threads=2)
+    sweep_modes_sensors(sweep_config, [4, 6], [5, 10], threads=2)
+    groups = _plan_groups(mf_config, [res.composition for res in results])
+    assert groups > mf_config.n_splits
+    assert len(built) == mf_config.n_splits + sweep_config.n_splits
 
 
 def test_single_fidelity_sweeps_do_not_depend_on_level_exp():
@@ -1195,8 +1275,11 @@ def test_each_split_and_r_is_prepared_once_on_the_thread_of_its_trials(
     monkeypatch.setattr(evaluation, "split", recording(
         "split", evaluation.split, lambda ds, fraction, seed: seed))
     basis_fn = "svd_basis" if basis_kind == "svd" else "randomized_basis"
+    # A basis is keyed by its training matrix's bytes: an SVD split frees
+    # that matrix once its modes exist, so a later split may reuse its id.
     monkeypatch.setattr(evaluation, basis_fn, recording(
-        "basis", getattr(evaluation, basis_fn), lambda train, r, *seed: (id(train), r)))
+        "basis", getattr(evaluation, basis_fn),
+        lambda train, r, *seed: (train.tobytes(), r)))
     # Pivots and tails are keyed by the basis or mode matrix they ran on
     # (kept alive, so their ids stay unique), and then by its (split, r).
     monkeypatch.setattr(evaluation, "qr_pivots", recording(

@@ -348,6 +348,25 @@ def test_lstsq_memo_hit_skips_the_finite_scan_but_checks_the_rows(monkeypatch):
         lstsq_minnorm(np.full((9, 4), np.nan), Y, memo={})
 
 
+def test_lstsq_memo_answers_only_for_the_theta_that_filled_it(monkeypatch):
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((8, 3))
+    B = rng.standard_normal((8, 5))
+    Y = rng.standard_normal((8, 2))
+    fresh = {id(theta): lstsq_minnorm(theta, Y) for theta in (A, B)}
+    calls = []
+    svd_impl = np.linalg.svd
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd_impl(*a, **kw)
+    )
+    memo = {}
+    for theta in (A, A, B, B, A):
+        assert np.array_equal(lstsq_minnorm(theta, Y, memo=memo), fresh[id(theta)])
+    # An equal Theta that is another array is factored again.
+    assert np.array_equal(lstsq_minnorm(A.copy(), Y, memo=memo), fresh[id(A)])
+    assert len(calls) == 4
+
+
 def test_lstsq_rank_deficient_drops_small_singular_values():
     theta = _rank_deficient_theta()
     Y = np.random.default_rng(12).standard_normal((12, 2))
