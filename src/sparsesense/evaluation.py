@@ -8,14 +8,16 @@ execution schedule. The optional cache memoizes per-split work in two
 records, each holding only what later work reads. One per split holds a
 row-major copy of the test snapshots (the order in which trials gather
 sensor rows), ||X_test||, the split's noise model and what its bases are
-built from: for SVD sweeps the SVD basis of every mode, so no training
-matrix outlives its split's SVD, for randomized sweeps the training matrix.
-One per (split, r) holds the basis (for SVD sweeps a view of the split's
+built from: for SVD sweeps the SVD basis of the leading modes, as many as
+the largest r asked of the split, so no training matrix outlives its
+split's modes, for randomized sweeps the training matrix. One per
+(split, r) holds the basis (for SVD sweeps a view of the split's
 leading modes), its CPQR pivots, the test set in an orthonormal frame of
 the basis and the longest odeim-e plan built so far. While a sweep runs the
 trials that share one sensor plan, it also memoizes what is fixed for that
 plan: the plan itself, the per-sensor noise levels, the measurement matrix
-Theta and its factorization. Both are pure accelerators, so results are
+Theta and its factorization. Both are pure accelerators: SVD modes have
+the same bits at every r (:func:`basis.svd_basis`), so results are
 bit-for-bit those of a fresh cache.
 
 Every sensor plan, in a sweep as in a single trial, comes from
@@ -239,9 +241,10 @@ class _SplitRecord:
     """One split: the test snapshots as one row-major array, the order in
     which trials gather sensor rows; ||test||_F, never 0; the noise model
     at the training data's overall variance; and what every basis of the
-    split is built from: for SVD sweeps the SVD basis of every mode, whose
-    column prefixes are the split's bases, for randomized sweeps the
-    training matrix. An SVD sweep keeps no training matrix."""
+    split is built from: for SVD sweeps the SVD basis of the leading modes,
+    as many as the largest r asked of the split so far, whose column
+    prefixes are the split's bases, for randomized sweeps the training
+    matrix. An SVD sweep keeps no training matrix."""
 
     test: np.ndarray
     test_norm: float
@@ -274,9 +277,15 @@ def _sumsq(a: np.ndarray) -> float:
     return float(np.vdot(a, a))
 
 
-def _get_split(config, cache, split_idx) -> _SplitRecord:
+def _get_split(config, cache, split_idx, r) -> _SplitRecord:
+    """Split split_idx's record, with at least r modes for SVD sweeps.
+
+    A record with fewer modes is rebuilt from a fresh split, as a fresh
+    cache would build it; SVD modes have the same bits at every r, so the
+    pairs built from the old record stay valid.
+    """
     hit = cache.splits.get(split_idx)
-    if hit is None:
+    if hit is None or (config.basis_kind == "svd" and hit.source.r < r):
         sd = split(
             config.dataset,
             config.train_fraction,
@@ -288,9 +297,9 @@ def _get_split(config, cache, split_idx) -> _SplitRecord:
         if test_norm == 0.0:
             raise ValueError("reference matrix has zero norm")
         train, test = sd.train, np.ascontiguousarray(sd.test)
-        del sd  # frees the column-gathered test set before the SVD
+        del sd  # frees the column-gathered test set before the modes
         noise = NoiseModel(config.level_cheap, config.level_exp, overall_variance(train))
-        source = svd_basis(train, min(train.shape)) if config.basis_kind == "svd" else train
+        source = svd_basis(train, r) if config.basis_kind == "svd" else train
         hit = _SplitRecord(test, test_norm, noise, source)
         cache.splits[split_idx] = hit
     return hit
@@ -299,7 +308,7 @@ def _get_split(config, cache, split_idx) -> _SplitRecord:
 def _get_pair(config, cache, split_idx, r) -> _PairRecord:
     pair = cache.pairs.get((split_idx, r))
     if pair is None:
-        sd = _get_split(config, cache, split_idx)
+        sd = _get_split(config, cache, split_idx, r)
         if config.basis_kind == "svd":
             basis = truncate_basis(sd.source, r)
             Q, F = basis.psi, None
@@ -392,7 +401,7 @@ def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
     cache = cache if cache is not None else _SweepCache()
     r, p, comp = _resolve_cell(config, cell)
     with kernels.single_blas_thread():
-        sd = _get_split(config, cache, split_idx)
+        sd = _get_split(config, cache, split_idx, r)
         pair = _get_pair(config, cache, split_idx, r)
         memo = cache.solves.get(_solve_key(config, comp, split_idx, cv_idx, r, p))
         if memo is not None and "plan" in memo:
@@ -423,12 +432,12 @@ def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
 def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
     """Errors of every trial of every cell, each in (split, cv, noise) order.
 
-    Every split record, with its SVD basis of every mode for SVD bases, is
-    built on the calling thread first; an SVD split drops its training
-    matrix once that basis exists. Then one task per (split, r), largest
-    r first, builds that pair's record (basis and CPQR pivots) and runs its
-    cells' plan groups, largest p first, so that for odeim-e the first
-    group builds the plan every later one takes a prefix of. Each group
+    Every split record, with the SVD basis of the sweep's largest r for SVD
+    bases, is built on the calling thread first; an SVD split drops its
+    training matrix once that basis exists. Then one task per (split, r),
+    largest r first, builds that pair's record (basis and CPQR pivots) and
+    runs its cells' plan groups, largest p first, so that for odeim-e the
+    first group builds the plan every later one takes a prefix of. Each group
     opens its plan's solve memo, runs the cell's trials that share the plan
     in (cv, noise) order, writing each error by index, and drops the memo,
     so each Theta is factored once per cell. A repeated cell is run once.
@@ -471,7 +480,7 @@ def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
     tasks = [(s, r) for r in sorted(by_r, reverse=True) for s in splits]
     with kernels.single_blas_thread():
         for s in splits:
-            _get_split(config, cache, s)
+            _get_split(config, cache, s, max(by_r))
         workers = min(threads, os.cpu_count() or 1)
         if workers == 1:
             for task in tasks:

@@ -344,8 +344,11 @@ def _secular_brackets(z1sq, zsq, d, tol, start):
     return lo, hi
 
 
-def _sigma_min_survivors(M, rows):
+def _sigma_min_survivors(M, rows, energy):
     """Ascending indices of the rows x that may maximize lambda_min(M + x x^T).
+
+    ``energy`` bounds every row's ||x||^2 from above and sets, with the
+    eigenvalues of M, the scale of the stated tolerance.
 
     Always contains the exhaustive scan's pick: a row is dropped only when
     its upper bracket lies more than the stated tolerance below another
@@ -363,7 +366,7 @@ def _sigma_min_survivors(M, rows):
     zsq = np.square(rows @ U)
     z1sq, zsq = zsq[:, 0], zsq[:, 1:]
     d = lam[1:] - lam[0]
-    tol = _PRUNE_RTOL * (np.abs(lam).max() + (z1sq + zsq.sum(axis=1)).max())
+    tol = _PRUNE_RTOL * (np.abs(lam).max() + energy)
     if d.size == 0:
         # r = 1: the update is the scalar lam_1 + x^2.
         return np.nonzero(z1sq >= z1sq.max() - tol)[0]
@@ -416,11 +419,15 @@ def sigma_min_tail(psi: np.ndarray, prefix: np.ndarray, count: int) -> np.ndarra
         )
     base = psi[prefix]
     M = np.ascontiguousarray(base.T @ base)
+    # The tolerance's row term: the largest ||x||^2 over all rows. U is
+    # orthogonal, so it bounds every candidate's ||U^T x||^2 up to roundoff
+    # far below the tolerance, and is taken once instead of every step.
+    energy = float(np.einsum("ij,ij->i", psi, psi).max())
     out = np.empty(count, dtype=np.int64)
     for step in range(count):
         cand = np.nonzero(~selected)[0]
         rows = psi[cand]
-        keep = _sigma_min_survivors(M, rows)
+        keep = _sigma_min_survivors(M, rows, energy)
         pick = keep[0]
         if keep.size > 1:
             rows = rows[keep]

@@ -174,7 +174,7 @@ def noisy_measure(X, plan: SensorPlan, sigmas, seed: int) -> np.ndarray:
     sigmas = np.asarray(sigmas, dtype=np.float64)
     if sigmas.ndim != 1 or sigmas.size != plan.p:
         raise ValueError(f"need one sigma per sensor ({plan.p}), got {sigmas.shape}")
-    if np.any(sigmas < 0) or not np.all(np.isfinite(sigmas)):
+    if not (0 <= sigmas.min() and sigmas.max() < math.inf):
         raise ValueError("sigmas must be finite and non-negative")
     Y = measure(X, plan)
     E = np.random.default_rng(seed).standard_normal(Y.shape)

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from sparsesense.basis import Basis, randomized_basis, svd_basis, truncate_basis
+from sparsesense.basis import (
+    _GRAM_RCOND,
+    Basis,
+    randomized_basis,
+    svd_basis,
+    truncate_basis,
+)
 from sparsesense.linalg import lstsq_minnorm
 
 
@@ -110,3 +116,128 @@ def test_truncate_basis_prefix():
 def test_basis_validation():
     with pytest.raises(ValueError):
         Basis(np.eye(3), "bogus")
+
+
+# ---------------------------------------------------------------------------
+# SVD modes by the method of snapshots, and the SVD fallback
+# ---------------------------------------------------------------------------
+
+_SVD = np.linalg.svd
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the matrices np.linalg.svd is called on."""
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return _SVD(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of the matrices np.linalg.eigh is called on."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def _svd_modes(X, r):
+    """The first r left singular vectors of X from np.linalg.svd, with the
+    sign rule of svd_basis."""
+    psi = _SVD(X, full_matrices=False)[0][:, :r].copy()
+    psi[:, psi[np.abs(psi).argmax(axis=0), np.arange(r)] < 0.0] *= -1.0
+    return psi
+
+
+def _power_law(n, m, ratio, seed=0, rank=None):
+    """n x m data of the given rank (default min(n, m)) with singular values
+    j**-a, a chosen so that s_min^2 / s_max^2 = ratio. Near ratio =
+    _GRAM_RCOND these spectra decay so fast that ||X^T X||_F is within 0.1%
+    of s_max^2, so the route test, lambda_min > _GRAM_RCOND ||G||_F, splits
+    them there."""
+    k = rank or min(n, m)
+    a = -0.5 * np.log(ratio) / np.log(k)
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    V = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    return (U * np.arange(1.0, k + 1) ** -a) @ V.T
+
+
+# (120, 50) takes the X^T X route, (50, 120) the X X^T route.
+_ROUTES = [(120, 50), (50, 120)]
+
+
+@pytest.mark.parametrize("shape", _ROUTES)
+@pytest.mark.parametrize("ratio", [1e-2, 1e-5, 2 * _GRAM_RCOND])
+def test_gram_modes_are_orthonormal_svd_modes(svd_calls, shape, ratio):
+    X = _power_law(*shape, ratio)
+    R = min(shape)
+    psi = svd_basis(X, R).psi
+    assert svd_calls == []
+    assert np.abs(psi.T @ psi - np.eye(R)).max() <= 1e-14
+    cos = np.abs(np.sum(psi * _svd_modes(X, R), axis=0))
+    assert cos.min() >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize(
+    "shape,rank", [*((shape, None) for shape in _ROUTES), ((120, 50), 40)],
+    ids=["gram-XtX", "gram-XXt", "svd-fallback"],
+)
+def test_svd_basis_modes_have_the_same_bits_at_every_r(svd_calls, shape, rank):
+    X = _power_law(*shape, 1e-4, seed=1, rank=rank)
+    R = min(shape)
+    full = svd_basis(X, R).psi
+    for r in (1, 7, 33, R):
+        psi = svd_basis(X, r).psi
+        assert psi.tobytes() == np.ascontiguousarray(full[:, :r]).tobytes()
+    assert len(svd_calls) == (0 if rank is None else 5)
+
+
+def _fallback_case(kind):
+    """(X, r) of data the Gram route must refuse."""
+    if kind == "rank-deficient":
+        return _power_law(120, 50, 1e-2, seed=2, rank=30), 10
+    if kind == "rank-deficient-wide":
+        return _power_law(50, 120, 1e-2, seed=3, rank=30), 10
+    if kind == "zero-variance":
+        return np.full((30, 20), 2.5), 3
+    if kind == "zero":
+        return np.zeros((30, 20)), 2
+    if kind == "overflowing-gram":
+        return _power_law(60, 20, 1e-2, seed=7) * 1e200, 5
+    if kind == "overflowing-gram-norm":
+        return _power_law(20, 60, 1e-2, seed=8) * 1e100, 5
+    if kind == "r-above-rank":
+        return _power_law(40, 25, 1e-2, seed=4, rank=3), 5
+    if kind == "below-threshold":
+        return _power_law(120, 50, 0.5 * _GRAM_RCOND, seed=5), 20
+    return _power_law(50, 120, 0.5 * _GRAM_RCOND, seed=6), 20
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "rank-deficient", "rank-deficient-wide", "zero-variance", "zero",
+        "overflowing-gram", "overflowing-gram-norm", "r-above-rank",
+        "below-threshold",
+        "below-threshold-wide",
+    ],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_svd_basis_falls_back_to_the_svd(svd_calls, eigh_calls, kind):
+    X, r = _fallback_case(kind)
+    psi = svd_basis(X, r).psi
+    assert svd_calls == [X.shape]
+    assert eigh_calls == []  # the route test is a Cholesky factorization
+    assert psi.tobytes() == _svd_modes(X, r).tobytes()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sparsesense import evaluation, kernels
-from sparsesense.basis import Basis, randomized_basis, svd_basis
+from sparsesense.basis import Basis, _gram_modes, randomized_basis, svd_basis
 from sparsesense.dataset import Dataset, SpectrumSpec, overall_variance, split, synthesize
 from sparsesense.evaluation import (
     CellResult,
@@ -852,11 +852,12 @@ def test_sweep_plans_are_the_library_plans_on_the_cached_basis(basis_kind, overs
 
 
 def test_split_cache_keeps_a_row_major_test_matrix():
+    r = 6
     for basis_kind in ("svd", "randomized"):
         config = _noisy_config(basis_kind=basis_kind)
         cache = evaluation._SweepCache()
         for s in range(config.n_splits):
-            sd = evaluation._get_split(config, cache, s)
+            sd = evaluation._get_split(config, cache, s, r)
             own = split(
                 config.dataset,
                 config.train_fraction,
@@ -867,11 +868,10 @@ def test_split_cache_keeps_a_row_major_test_matrix():
             assert own.test.flags.f_contiguous and not own.test.flags.c_contiguous
             assert sd.test.flags.c_contiguous and sd.test.base is None
             assert np.array_equal(sd.test, own.test)
-            # Pairs are built from the SVD basis of every mode, or from the
-            # training matrix itself.
+            # Pairs are built from the SVD basis of the leading r modes, or
+            # from the training matrix itself.
             if basis_kind == "svd":
-                want = svd_basis(own.train, min(own.train.shape)).psi
-                assert np.array_equal(sd.source.psi, want)
+                assert np.array_equal(sd.source.psi, svd_basis(own.train, r).psi)
             else:
                 assert np.array_equal(sd.source, own.train)
             # The norm is the split's own array's, summed in its memory order.
@@ -879,7 +879,54 @@ def test_split_cache_keeps_a_row_major_test_matrix():
             assert sd.noise == NoiseModel(
                 config.level_cheap, config.level_exp, overall_variance(own.train)
             )
-            assert evaluation._get_split(config, cache, s) is sd
+            assert evaluation._get_split(config, cache, s, r) is sd
+            assert evaluation._get_split(config, cache, s, 1) is sd
+
+
+def test_svd_sweeps_keep_the_leading_modes_of_their_largest_r(monkeypatch):
+    caches = []
+
+    class RecordingCache(evaluation._SweepCache):
+        def __init__(self):
+            super().__init__()
+            caches.append(self)
+
+    monkeypatch.setattr(evaluation, "_SweepCache", RecordingCache)
+    config, mf_config = _noisy_config(), _mf_config()
+    sweep_modes_sensors(config, [4, 8, 6], [5, 10], threads=2)
+    results = mf_sweep(mf_config, threads=2)
+    mf_r = max(evaluation._resolve_cell(mf_config, res.composition)[0] for res in results)
+    assert mf_r < min(40, mf_config.m_train)
+    for cache, want in zip(caches, (8, mf_r), strict=True):
+        assert [cache.splits[s].source.r for s in range(config.n_splits)] == [want, want]
+
+
+@pytest.mark.parametrize("oversample", ["random", "odeim-e"])
+def test_a_shared_cache_asked_for_more_modes_matches_fresh_trials(oversample):
+    # Full-rank, well-posed training sets take the Gram route of svd_basis.
+    # A record built at a small r is rebuilt for a larger one; the pairs of
+    # the small r, built from the old record, still give fresh-trial bits.
+    config = _noisy_config(
+        dataset=synthesize(SpectrumSpec(10.0, -0.7, 30), 40, 30, seed=21),
+        policy=PlacementPolicy(oversample=oversample),
+    )
+    cache = evaluation._SweepCache()
+    largest = 0
+    for r, p in [(3, 7), (8, 12), (3, 7), (5, 5)]:
+        largest = max(largest, r)
+        for s in range(config.n_splits):
+            for c in range(config.n_placement_cv):
+                for z in range(config.n_noise):
+                    got = run_trial(config, s, c, z, (r, p), cache)
+                    assert got == run_trial(config, s, c, z, (r, p))
+            assert cache.splits[s].source.r == largest
+    for s in range(config.n_splits):
+        own = split(
+            config.dataset,
+            config.train_fraction,
+            derive_seed(config.master_seed, evaluation._TAG_SPLIT, s),
+        )
+        assert _gram_modes(own.train, 1) is not None
 
 
 # ---------------------------------------------------------------------------

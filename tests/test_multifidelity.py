@@ -216,6 +216,25 @@ def test_noisy_measure_rejects_negative_sigma():
         noisy_measure(np.eye(3), plan, [-1.0], seed=0)
 
 
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, -1.0, -5e-324]
+)
+def test_noisy_measure_rejects_each_non_finite_or_negative_sigma(bad):
+    plan = SensorPlan(np.array([2, 0, 1]), "qr", 3)
+    for at in range(3):
+        sigmas = [0.5, 0.0, 1.0]
+        sigmas[at] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            noisy_measure(np.eye(3), plan, sigmas, seed=0)
+
+
+def test_noisy_measure_accepts_signed_zero_sigmas():
+    X = np.arange(12.0).reshape(3, 4)
+    plan = SensorPlan(np.array([2, 0]), "qr", 2)
+    Y = noisy_measure(X, plan, [-0.0, 0.0], seed=3)
+    np.testing.assert_array_equal(Y, X[[2, 0]])
+
+
 def test_noisy_measure_rejects_wrong_sigma_count():
     plan = SensorPlan(np.array([0, 1]), "qr", 2)
     with pytest.raises(ValueError):
