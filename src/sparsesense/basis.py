@@ -13,7 +13,7 @@ BASIS_KINDS = ("svd", "randomized")
 
 @dataclass(frozen=True)
 class Basis:
-    """An n x r mode matrix and the kind of basis it is.
+    """An n x r mode matrix, finite and read-only.
 
     SVD bases have orthonormal columns; randomized bases are raw column
     mixtures of the training data (deliberately not orthonormalized, the
@@ -21,11 +21,8 @@ class Basis:
     """
 
     psi: np.ndarray
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in BASIS_KINDS:
-            raise ValueError(f"kind must be one of {BASIS_KINDS}, got {self.kind!r}")
         psi = as_matrix(self.psi, "psi").view()
         psi.setflags(write=False)
         object.__setattr__(self, "psi", psi)
@@ -120,7 +117,7 @@ def svd_basis(Xtr, r: int) -> Basis:
     # is per column, so it keeps the prefix property.
     flip = psi[np.abs(psi).argmax(axis=0), np.arange(r)] < 0.0
     psi[:, flip] *= -1.0
-    return Basis(psi, "svd")
+    return Basis(psi)
 
 
 def randomized_basis(Xtr, r: int, seed: int) -> Basis:
@@ -133,7 +130,7 @@ def randomized_basis(Xtr, r: int, seed: int) -> Basis:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     G = gaussian_matrix(Xtr.shape[1], r, seed)
-    return Basis(Xtr @ G, "randomized")
+    return Basis(Xtr @ G)
 
 
 def truncate_basis(basis: Basis, r: int) -> Basis:
@@ -146,4 +143,4 @@ def truncate_basis(basis: Basis, r: int) -> Basis:
         raise ValueError(f"r must be in [1, {basis.r}], got {r}")
     if r == basis.r:
         return basis
-    return Basis(basis.psi[:, :r], basis.kind)
+    return Basis(basis.psi[:, :r])

@@ -227,18 +227,22 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
 def _load_config_file(path: str) -> dict[str, str]:
     known = {opt.flag for options in OPTIONS.values() for opt in options}
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            key = key.strip()
-            if not eq:
-                raise _UsageError(f"{path}: line {lineno}: expected key=value")
-            if key not in known:
-                raise _UsageError(f"{path}: line {lineno}: unknown key {key!r}")
-            out[key] = value.strip()
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise _UsageError(f"{path}: line {lineno}: not UTF-8 text") from None
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq:
+            raise _UsageError(f"{path}: line {lineno}: expected key=value")
+        if key not in known:
+            raise _UsageError(f"{path}: line {lineno}: unknown key {key!r}")
+        out[key] = value.strip()
     return out
 
 

@@ -181,19 +181,19 @@ def blas_record() -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
-def cpqr_select(V: np.ndarray, k: int, want_q: bool = False):
+def cpqr_select(V: np.ndarray, k: int):
     """Run k steps of CPQR on a copy of V.
 
-    Returns ``(perm, r_diag, R, Q)`` where ``perm`` is the full column
+    Returns ``(perm, r_diag, R)`` where ``perm`` is the full column
     permutation (its first k entries are the pivots in selection order),
-    ``r_diag`` the |R_ii| magnitudes, ``R`` the transformed matrix (upper
-    triangular in its first k columns) and ``Q`` the accumulated orthogonal
-    factor, or None unless ``want_q``. The input is never mutated.
+    ``r_diag`` the |R_ii| magnitudes and ``R`` the transformed matrix (upper
+    triangular in its first k columns). The orthogonal factor is not
+    accumulated; :func:`sparsesense.linalg.cpqr_factors` forms it when a
+    caller needs it. The input is never mutated.
 
     Each step swaps the remaining column with the largest residual norm into
     place (the first maximum, so exact ties go to the lowest index) and
-    deflates with a Householder reflection H = I - beta v v^T; Q is
-    accumulated only when requested, to keep the placement hot path lean.
+    deflates with a Householder reflection H = I - beta v v^T.
 
     The reflections are applied in blocks of up to ``_BLOCK`` steps, as in
     LAPACK's xLAQPS. Within a block, on the rows from the block's first step
@@ -207,7 +207,6 @@ def cpqr_select(V: np.ndarray, k: int, want_q: bool = False):
     """
     W = np.array(V, dtype=np.float64, order="C", copy=True)
     r, n = W.shape
-    Q = np.eye(r) if want_q else None
     perm = np.arange(n)
     r_diag = np.zeros(k)
     norms2 = np.einsum("ij,ij->j", W, W)
@@ -258,9 +257,6 @@ def cpqr_select(V: np.ndarray, k: int, want_q: bool = False):
             if i:
                 f -= (Vb[:i, step:] @ v) @ F[:i, step + 1 :]
             np.multiply(f, beta, out=F[i, step + 1 :])
-            if Q is not None:
-                qb = Q[:, step:]
-                qb -= np.outer(qb @ v, beta * v)
 
             if step + 1 < n:
                 t = W[step, step + 1 :]
@@ -280,7 +276,7 @@ def cpqr_select(V: np.ndarray, k: int, want_q: bool = False):
             floor[stale] = _NORM_GUARD * fresh
         start = end
 
-    return perm, r_diag, W, Q
+    return perm, r_diag, W
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ def cpqr(V, k: int) -> PivotResult:
     r, n = V.shape
     if not 1 <= k <= min(r, n):
         raise ValueError(f"k must be in [1, {min(r, n)}] for a {r}x{n} matrix, got {k}")
-    perm, r_diag, _, _ = kernels.cpqr_select(V, k, want_q=False)
+    perm, r_diag, _ = kernels.cpqr_select(V, k)
     return PivotResult(pivots=perm[:k].copy(), r_diag=r_diag, permutation=perm)
 
 
@@ -91,17 +91,15 @@ def cpqr_factors(V, k: int | None = None):
     """CPQR with assembled factors.
 
     Returns ``(result, Q, R)`` where ``V[:, result.permutation] == Q @ R`` up
-    to roundoff. With k < min(rows, cols) the factorization is partial: R is
-    upper triangular in its first k columns only.
+    to roundoff, Q square orthogonal and R upper triangular. The pivots and
+    ``r_diag`` come from k steps of :func:`cpqr`; Q and R are the complete
+    Householder QR of the permuted matrix, so with k < min(rows, cols) the
+    columns after the first k are factored in permutation order, unpivoted.
+    |diag R[:k]| equals ``result.r_diag`` up to roundoff.
     """
     V = as_matrix(V, "V")
-    r, n = V.shape
-    if k is None:
-        k = min(r, n)
-    if not 1 <= k <= min(r, n):
-        raise ValueError(f"k must be in [1, {min(r, n)}] for a {r}x{n} matrix, got {k}")
-    perm, r_diag, R, Q = kernels.cpqr_select(V, k, want_q=True)
-    result = PivotResult(pivots=perm[:k].copy(), r_diag=r_diag, permutation=perm)
+    result = cpqr(V, min(V.shape) if k is None else k)
+    Q, R = np.linalg.qr(V[:, result.permutation], mode="complete")
     return result, Q, R
 
 

@@ -59,15 +59,17 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class BudgetSpec:
-    """Unit sensor costs and the total budget."""
+    """Unit sensor costs and the total budget, each positive and finite."""
 
     cost_cheap: float
     cost_exp: float
     budget: float
 
     def __post_init__(self):
-        if self.cost_cheap <= 0 or self.cost_exp <= 0 or self.budget <= 0:
-            raise ValueError("costs and budget must be positive")
+        for name in ("cost_cheap", "cost_exp", "budget"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     def is_feasible(self, p_cheap: int, p_exp: int) -> bool:
         """Exact check of cost_cheap * p_cheap + cost_exp * p_exp <= budget."""
@@ -98,16 +100,23 @@ def budget_from_endpoints(
 
     B = cost_cheap * p_cheap_max and cost_exp = B / p_exp_max, nudged by at
     most one ulp so the all-cheap and all-expensive extremes stay feasible
-    under exact rational checking.
+    under exact rational checking. A B or cost_exp that is not a positive
+    finite float is a ValueError.
     """
     if p_cheap_max < 1 or p_exp_max < 1:
         raise ValueError("endpoint sensor counts must be >= 1")
-    if cost_cheap <= 0:
-        raise ValueError("cost_cheap must be positive")
-    budget = cost_cheap * p_cheap_max
-    if Fraction(cost_cheap) * p_cheap_max > Fraction(budget):
-        budget = math.nextafter(budget, math.inf)
-    cost_exp = budget / p_exp_max
+    if not 0 < cost_cheap < math.inf:
+        raise ValueError(f"cost_cheap must be positive and finite, got {cost_cheap!r}")
+    try:
+        budget = cost_cheap * p_cheap_max
+        if Fraction(cost_cheap) * p_cheap_max > Fraction(budget):
+            budget = math.nextafter(budget, math.inf)
+        cost_exp = budget / p_exp_max
+    except OverflowError:
+        raise ValueError(
+            f"cost_cheap = {cost_cheap!r}, p_cheap_max = {p_cheap_max} and p_exp_max = "
+            f"{p_exp_max} give a budget or expensive cost that is not a finite float"
+        ) from None
     if Fraction(cost_exp) * p_exp_max > Fraction(budget):
         cost_exp = math.nextafter(cost_exp, 0.0)
     return BudgetSpec(cost_cheap, cost_exp, budget)

@@ -3,8 +3,9 @@
 Every plan is built by :func:`plan_with_modes`: the column-pivoted QR of the
 transposed basis gives the first sensors, and oversampling appends extra
 rows either uniformly at random or by greedily maximizing the smallest
-singular value of the growing measurement matrix. :func:`place` picks the
-number of modes from a policy first.
+singular value of the growing measurement matrix. The basis it is given
+decides how many modes the QR stage uses; :meth:`PlacementPolicy.modes_for`
+is the rule callers truncate it by.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .basis import Basis, truncate_basis
+from .basis import Basis
 from .linalg import as_matrix, cpqr
 
 OVERSAMPLERS = ("random", "odeim-e")
@@ -54,19 +55,14 @@ class SensorPlan:
 class PlacementPolicy:
     """Mode-count rule and oversampling strategy for a sensor budget p.
 
-    r = p for small budgets (p <= small_p_threshold), otherwise
-    r = ceil(p / oversample_factor); both knobs are configurable.
+    The rule is fixed: r = p for p <= 10, otherwise r = ceil(p / 2), so a
+    larger budget places about two sensors per mode. Only the oversampler
+    is a choice.
     """
 
-    small_p_threshold: int = 10
-    oversample_factor: float = 2.0
     oversample: str = "random"
 
     def __post_init__(self):
-        if self.small_p_threshold < 0:
-            raise ValueError("small_p_threshold must be >= 0")
-        if self.oversample_factor < 1.0:
-            raise ValueError("oversample_factor must be >= 1")
         if self.oversample not in OVERSAMPLERS:
             raise ValueError("oversample must be 'random' or 'odeim-e'")
 
@@ -78,7 +74,7 @@ class PlacementPolicy:
         """
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
-        r = p if p <= self.small_p_threshold else math.ceil(p / self.oversample_factor)
+        r = p if p <= 10 else math.ceil(p / 2)
         return r if limit is None else min(r, limit)
 
 
@@ -151,25 +147,6 @@ def plan_with_modes(
         tail = kernels.sigma_min_tail(basis.psi, pivots, count)
         method = "qr+odeim-e"
     return SensorPlan(np.concatenate([pivots, tail]), method, basis.r)
-
-
-def place(
-    basis: Basis,
-    p: int,
-    policy: PlacementPolicy | None = None,
-    seed: int | None = None,
-) -> SensorPlan:
-    """Place p sensors under the policy's mode-count rule.
-
-    The rule fixes how many leading modes feed the QR stage; the plan is
-    pure QR pivots when p <= r and oversampled otherwise. A randomized basis
-    wider than p (undersampling) is used whole: the plan is then the first p
-    pivots of the full mode matrix.
-    """
-    policy = policy or PlacementPolicy()
-    if not (basis.kind == "randomized" and basis.r > p):
-        basis = truncate_basis(basis, policy.modes_for(p, basis.r))
-    return plan_with_modes(basis, p, policy.oversample, seed)
 
 
 def measure(X, plan: SensorPlan) -> np.ndarray:

@@ -107,15 +107,20 @@ def test_truncate_basis_prefix():
     basis = svd_basis(X, 6)
     cut = truncate_basis(basis, 2)
     np.testing.assert_array_equal(cut.psi, basis.psi[:, :2])
-    assert cut.r == 2 and cut.kind == "svd"
+    assert cut.r == 2 and not cut.psi.flags.writeable
     assert truncate_basis(basis, 6) is basis
     with pytest.raises(ValueError):
         truncate_basis(basis, 7)
 
 
 def test_basis_validation():
-    with pytest.raises(ValueError):
-        Basis(np.eye(3), "bogus")
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        Basis(np.array([[1.0], [np.inf]]))
+    with pytest.raises(ValueError, match="2-D"):
+        Basis(np.ones(3))
+    psi = np.eye(3)
+    basis = Basis(psi)
+    assert not basis.psi.flags.writeable and psi.flags.writeable
 
 
 # ---------------------------------------------------------------------------

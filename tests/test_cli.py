@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, exit codes, config precedence."""
 
+import itertools
 import os
 import platform
 import re
@@ -16,7 +17,7 @@ from sparsesense.cli import OPTIONS, main, parse_mf_csv, parse_sweep_csv
 from sparsesense.dataset import Dataset, load_matrix, save_matrix
 from sparsesense.evaluation import ExperimentConfig
 from sparsesense.multifidelity import Composition
-from sparsesense.placement import place, plan_with_modes, qr_pivots
+from sparsesense.placement import plan_with_modes, qr_pivots
 
 
 def _run(*argv):
@@ -188,14 +189,23 @@ def test_place_the_library_and_sweeps_agree_on_the_mode_count(tmp_path, kind, p,
     X = rng.standard_normal((n, m))
     data = str(tmp_path / "d.bin")
     save_matrix(Dataset(X), data)
-    out = tmp_path / "placed"
-    assert _run(
-        "place", "--data", data, "--p", str(p), "--basis", kind, "--seed", "5",
-        "--out-dir", str(out),
-    ) == 0
-    manifest = (out / "manifest.txt").read_text().splitlines()
-    assert f"modes={r}" in manifest
-    assert place(svd_basis(X, min(n, m)), p, seed=5).r_used == r
+    # The command's plan, with the rule's r or the same r given by --modes,
+    # is the library's plan on a basis of r modes, for every oversampler.
+    with kernels.single_blas_thread():
+        modes = svd_basis(X, r) if kind == "svd" else randomized_basis(X, r, 5)
+        want = {
+            oversample: plan_with_modes(modes, p, oversample, 5).locations.tolist()
+            for oversample in ("random", "odeim-e")
+        }
+    for oversample, modes_args in itertools.product(want, [(), ("--modes", str(r))]):
+        out = tmp_path / f"placed-{oversample}{len(modes_args)}"
+        assert _run(
+            "place", "--data", data, "--p", str(p), "--basis", kind, "--seed", "5",
+            "--oversample", oversample, *modes_args, "--out-dir", str(out),
+        ) == 0
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert f"modes={r}" in manifest
+        assert _placed(out) == want[oversample]
     # A sweep over 10 snapshots trains on 8 of them: the same (n, m).
     config = ExperimentConfig(dataset=Dataset(rng.standard_normal((n, 10))), basis_kind=kind)
     assert config.m_train == m
@@ -442,6 +452,24 @@ def _mf_args(data, out, extra=()):
     ]
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("cost-cheap", "inf", "cost_cheap must be positive and finite, got inf"),
+    ("cost-cheap", "nan", "cost_cheap must be positive and finite, got nan"),
+    ("cost-cheap", "1e308", "cost_cheap = 1e+308, p_cheap_max = 10 and p_exp_max = 2"),
+    ("p-cheap-max", "1" + "0" * 400, "give a budget or expensive cost that is not a finite"),
+])
+def test_mf_budget_that_is_not_a_finite_float_is_a_data_error(
+    tmp_path, capsys, flag, value, message
+):
+    data = _make_dataset(tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(_mf_args(data, out) + [f"--{flag}", value]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_mf_csv_rows_footer_and_svg(tmp_path):
     data = _make_dataset(tmp_path)
     out = tmp_path / "mf"
@@ -684,6 +712,17 @@ def test_config_file_rejects_undeclared_keys_and_malformed_lines(tmp_path, capsy
     capsys.readouterr()
     assert main(_sweep_args(data, out, extra=("--config", str(config)))) == 64
     assert f"usage error: {config}: line 4: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    data = _make_dataset(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"seed=17\r\nsplits=\xff\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(_sweep_args(data, out, extra=("--config", str(config)))) == 64
+    assert f"usage error: {config}: line 2: not UTF-8 text" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -53,7 +53,7 @@ def _rank_limited_dataset(n=60, m=40, rank=6, seed=0):
 def test_reconstruct_identity_basis_full_sensing():
     rng = np.random.default_rng(0)
     Y = rng.standard_normal((4, 6))
-    basis = Basis(np.eye(4), "svd")
+    basis = Basis(np.eye(4))
     plan = SensorPlan(np.arange(4), "qr", 4)
     np.testing.assert_allclose(reconstruct(basis, plan, Y), Y, atol=1e-12)
 
@@ -575,10 +575,11 @@ def test_sigma_min_mf_sweep_reuses_tails_and_matches_fresh_trials(monkeypatch):
     ds = _rank_limited_dataset(n=40, m=30, rank=8, seed=14)
     config = ExperimentConfig(
         dataset=ds,
-        policy=PlacementPolicy(small_p_threshold=2, oversample="odeim-e"),
+        policy=PlacementPolicy(oversample="odeim-e"),
         level_cheap=0.02,
         level_exp=0.01,
-        budget=budget_from_endpoints(12, 4, 1.0),
+        # Every composition has 11 to 16 sensors, so all oversample.
+        budget=budget_from_endpoints(16, 11, 1.0),
         composition_steps=7,
         n_splits=2,
         n_placement_cv=2,
@@ -629,9 +630,10 @@ def _noisy_config(**kw):
 
 
 def _mf_config(**kw):
+    # 4 to 18 sensors, a different count in each composition: the four
+    # above 10 oversample, the rest are QR pivots only.
     return _noisy_config(
-        policy=PlacementPolicy(small_p_threshold=4),
-        budget=budget_from_endpoints(12, 4, 1.0),
+        budget=budget_from_endpoints(18, 4, 1.0),
         composition_steps=7,
         **kw,
     )
@@ -1185,8 +1187,8 @@ def test_sweeps_on_zero_variance_data(basis_kind, oversample):
     config = _noisy_config(
         dataset=Dataset(np.full((30, 24), 2.5)),
         basis_kind=basis_kind,
-        policy=PlacementPolicy(small_p_threshold=4, oversample=oversample),
-        budget=budget_from_endpoints(12, 4, 1.0),
+        policy=PlacementPolicy(oversample=oversample),
+        budget=budget_from_endpoints(18, 4, 1.0),
         composition_steps=4,
     )
     cells = sweep_modes_sensors(config, [1, 4], [4, 10], threads=1)

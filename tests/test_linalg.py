@@ -63,6 +63,21 @@ def test_cpqr_factors_reconstruct(shape):
     assert np.allclose(np.tril(R[:, :k], -1), 0.0)
 
 
+@pytest.mark.parametrize("shape", [(2 * 32 + 10, 150), (150, 2 * 32 + 10)])
+def test_cpqr_factors_across_blocks(shape):
+    # 74 and 40 pivots span more than one 32-step block of the CPQR kernel.
+    V = np.random.default_rng(shape[0]).standard_normal(shape)
+    before = V.copy()
+    for k in (min(shape), 40):
+        result, Q, R = cpqr_factors(V, k)
+        np.testing.assert_array_equal(V, before)
+        assert np.linalg.norm(V[:, result.permutation] - Q @ R) <= 1e-10 * np.linalg.norm(V)
+        np.testing.assert_allclose(Q.T @ Q, np.eye(shape[0]), rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(np.tril(R, -1), 0.0)
+        np.testing.assert_allclose(np.abs(np.diag(R)[:k]), result.r_diag, rtol=1e-12, atol=0.0)
+        assert result.pivots.tolist() == cpqr(V, k).pivots.tolist()
+
+
 def test_cpqr_diagonal_dominance():
     rng = np.random.default_rng(77)
     V = rng.standard_normal((8, 20))

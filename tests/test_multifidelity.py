@@ -1,6 +1,7 @@
 """Noise model, budget arithmetic, composition grids, fidelity assignment."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +45,40 @@ def test_budget_from_endpoints_rejects_zero_counts():
         budget_from_endpoints(0, 2, 1.0)
     with pytest.raises(ValueError):
         budget_from_endpoints(4, 0, 1.0)
+
+
+@pytest.mark.parametrize("cost_cheap", [math.inf, math.nan, -1.0, 0.0])
+def test_budget_from_endpoints_names_a_cost_that_is_not_positive_and_finite(cost_cheap):
+    with pytest.raises(ValueError, match=f"cost_cheap must be positive and finite, got {cost_cheap}"):
+        budget_from_endpoints(4, 2, cost_cheap)
+
+
+@pytest.mark.parametrize(
+    "p_cheap_max,p_exp_max,cost_cheap",
+    [(4, 2, 1e308), (10**400, 2, 1.0), (4, 10**400, 1.0), (2, 1, sys.float_info.max)],
+    ids=["product", "huge-p-cheap-max", "huge-p-exp-max", "max-float"],
+)
+def test_budget_from_endpoints_rejects_a_budget_beyond_the_floats(
+    p_cheap_max, p_exp_max, cost_cheap
+):
+    # Overflow in the budget product, or an endpoint count no float holds.
+    with pytest.raises(ValueError, match="is not a finite float") as info:
+        budget_from_endpoints(p_cheap_max, p_exp_max, cost_cheap)
+    assert str(info.value).startswith(f"cost_cheap = {cost_cheap!r}, p_cheap_max = {p_cheap_max}")
+
+
+def test_budget_from_endpoints_names_an_expensive_cost_that_underflows():
+    with pytest.raises(ValueError, match="cost_exp must be positive and finite, got 0.0"):
+        budget_from_endpoints(1, 10**300, 5e-324)
+
+
+@pytest.mark.parametrize("field", ["cost_cheap", "cost_exp", "budget"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -2.0])
+def test_budget_spec_names_a_value_that_is_not_positive_and_finite(field, value):
+    kwargs = dict(cost_cheap=1.0, cost_exp=2.0, budget=4.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite, got {value}"):
+        BudgetSpec(**kwargs)
 
 
 @pytest.mark.parametrize(

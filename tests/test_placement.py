@@ -1,16 +1,18 @@
-"""Sensor selection: pivots, oversampling strategies, rule dispatch, gather."""
+"""Sensor selection: pivots, oversampling strategies, the mode-count rule,
+gather."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from sparsesense import kernels
-from sparsesense.basis import Basis, randomized_basis, svd_basis
+from sparsesense.basis import Basis, randomized_basis, svd_basis, truncate_basis
 from sparsesense.linalg import cpqr
 from sparsesense.placement import (
     PlacementPolicy,
     SensorPlan,
     measure,
-    place,
     plan_with_modes,
     qr_pivots,
 )
@@ -18,7 +20,7 @@ from sparsesense.placement import (
 
 def _basis_from(psi):
     psi = np.asarray(psi, dtype=float)
-    return Basis(psi, "svd")
+    return Basis(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -240,34 +242,41 @@ def test_plan_with_modes_rejects_bad_requests():
 
 
 # ---------------------------------------------------------------------------
-# place (mode-count rule dispatch)
+# the mode-count rule, then plan_with_modes on that many modes
 # ---------------------------------------------------------------------------
 
 
+def _place(basis, p, policy=PlacementPolicy(), seed=None):
+    """p sensors from the leading modes_for(p) modes of the basis."""
+    basis = truncate_basis(basis, policy.modes_for(p, basis.r))
+    return plan_with_modes(basis, p, policy.oversample, seed)
+
+
 def test_policy_mode_rule():
+    # The rule has no settings; the oversampler is the policy's one field.
+    assert [f.name for f in fields(PlacementPolicy)] == ["oversample"]
     policy = PlacementPolicy()
     assert policy.modes_for(8) == 8
     assert policy.modes_for(10) == 10
     assert policy.modes_for(100) == 50
     assert policy.modes_for(11) == 6
-    custom = PlacementPolicy(small_p_threshold=4, oversample_factor=4.0)
-    assert custom.modes_for(4) == 4
-    assert custom.modes_for(40) == 10
+    assert policy.modes_for(4) == 4
+    assert policy.modes_for(40) == 20
     # The limit (min(n, m) of the data, or a basis's r) caps the rule.
     assert policy.modes_for(100, 60) == 50
     assert policy.modes_for(100, 30) == 30
     assert policy.modes_for(8, 5) == 5
-    assert custom.modes_for(40, 10) == 10
+    assert policy.modes_for(40, 10) == 10
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        policy.modes_for(0, 5)
 
 
 def test_place_small_budget_is_pure_qr():
     rng = np.random.default_rng(10)
     basis = svd_basis(rng.standard_normal((40, 30)), 12)
-    plan = place(basis, 8, seed=0)
+    plan = _place(basis, 8, seed=0)
     assert plan.method == "qr"
     assert plan.r_used == 8
-    from sparsesense.basis import truncate_basis
-
     np.testing.assert_array_equal(
         plan.locations, qr_pivots(truncate_basis(basis, 8), 8).locations
     )
@@ -276,7 +285,7 @@ def test_place_small_budget_is_pure_qr():
 def test_place_large_budget_oversamples_half():
     rng = np.random.default_rng(11)
     basis = svd_basis(rng.standard_normal((150, 120)), 60)
-    plan = place(basis, 100, seed=4)
+    plan = _place(basis, 100, seed=4)
     assert plan.method == "qr+random-oversample"
     assert plan.r_used == 50
     assert plan.p == 100
@@ -285,24 +294,14 @@ def test_place_large_budget_oversamples_half():
 def test_place_every_row_once_when_p_equals_n():
     rng = np.random.default_rng(12)
     basis = svd_basis(rng.standard_normal((6, 8)), 2)
-    plan = place(basis, 6, seed=5)
+    plan = _place(basis, 6, seed=5)
     assert sorted(plan.locations.tolist()) == list(range(6))
-
-
-def test_place_undersampled_randomized_basis_uses_full_mode_set():
-    rng = np.random.default_rng(13)
-    X = rng.standard_normal((30, 40))
-    basis = randomized_basis(X, 20, seed=1)
-    plan = place(basis, 5, seed=2)
-    assert plan.method == "qr"
-    assert plan.r_used == 20
-    np.testing.assert_array_equal(plan.locations, qr_pivots(basis, 5).locations)
 
 
 def test_place_sigma_min_policy():
     rng = np.random.default_rng(14)
     basis = svd_basis(rng.standard_normal((25, 20)), 12)
-    plan = place(basis, 16, PlacementPolicy(oversample="odeim-e"))
+    plan = _place(basis, 16, PlacementPolicy(oversample="odeim-e"))
     assert plan.method == "qr+odeim-e"
     assert plan.r_used == 8
 
@@ -311,7 +310,7 @@ def test_place_rejects_p_beyond_n():
     rng = np.random.default_rng(15)
     basis = svd_basis(rng.standard_normal((10, 8)), 4)
     with pytest.raises(ValueError):
-        place(basis, 11, seed=0)
+        _place(basis, 11, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +348,6 @@ def test_plans_are_distinct_and_sized(strategy):
     rng = np.random.default_rng(18)
     basis = svd_basis(rng.standard_normal((40, 30)), 6)
     policy = PlacementPolicy(oversample=strategy)
-    plan = place(basis, 14, policy, seed=3)
+    plan = _place(basis, 14, policy, seed=3)
     assert plan.p == 14
     assert len(set(plan.locations.tolist())) == 14
