@@ -15,10 +15,13 @@ split's modes, for randomized sweeps the training matrix. One per
 leading modes), its CPQR pivots, the test set in an orthonormal frame of
 the basis and the longest odeim-e plan built so far. While a sweep runs the
 trials that share one sensor plan, it also memoizes what is fixed for that
-plan: the plan itself, the per-sensor noise levels, the measurement matrix
-Theta and its factorization. Both are pure accelerators: SVD modes have
-the same bits at every r (:func:`basis.svd_basis`), so results are
-bit-for-bit those of a fresh cache.
+plan: the plan itself, each composition's per-sensor noise levels, the
+measurement matrix Theta and its factorization; and while it runs the
+trials of one (split, cv) draw, their standard-normal noise draws, each
+drawn once at the sweep's largest p. All are pure accelerators: SVD modes
+have the same bits at every r (:func:`basis.svd_basis`), and a draw's first
+p rows are the draw at p rows (:func:`multifidelity.noisy_measure`), so
+results are bit-for-bit those of a fresh cache.
 
 Every sensor plan, in a sweep as in a single trial, comes from
 :func:`placement.plan_with_modes`, given the cached pivots, and its
@@ -40,6 +43,7 @@ every BLAS thread setting of the machine.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -217,23 +221,31 @@ class _SweepCache:
     the :class:`_PairRecord` of split s at r modes; both live as long as the
     cache. In a sweep, ``splits`` is filled on the calling thread before the
     pool starts and only read after; each ``pairs`` entry is written only by
-    the task that owns that (split, r).
+    the (split, r) task that builds it, before any trial reads it.
 
-    ``solves`` maps a trial's :func:`_solve_key` to the memo of its plan:
-    :func:`run_trial` stores the plan and the per-sensor sigmas in it on the
-    group's first trial, :func:`reconstruct` Theta with the basis and plan
-    it measured, and :func:`lstsq_minnorm` Theta's factors with that Theta;
-    each reuses its entry only for the same objects, which every trial of
-    the group passes. Only :func:`_sweep_errors` opens
-    one, for the group of trials of one cell sharing that plan, and drops it
-    when the group is done, so at most one such memo per worker thread is
-    alive and none outlives a sweep.
+    ``solves`` maps a plan's :func:`_plan_key` to its group, a
+    :func:`_plan_group`: the plan, the per-sensor sigmas of each
+    composition measured with it, and a lock. The group's first trial
+    stores Theta in it through :func:`reconstruct`, with the basis and plan
+    it measured, and Theta's factors through :func:`lstsq_minnorm`, with
+    that Theta; each reuses its entry only for the same objects, which
+    every trial of the plan passes. Only :func:`_sweep_errors` opens groups:
+    a (split, r) task those that every cv draw of its split shares (QR-only
+    plans and odeim-e tails), dropped when the split's last (split, cv) task
+    ends, and a (split, cv) task those of its own random tails, one at a
+    time, dropped when its trials are done. None outlives a sweep.
+
+    ``draws`` maps a trial's (split, cv, noise) indices to its noise seed's
+    standard-normal draw at the sweep's largest p; :func:`run_trial` hands
+    :func:`noisy_measure` the first p rows. Only a (split, cv) task fills
+    it, for its own trials, and empties it when they are done.
     """
 
     def __init__(self):
         self.splits: dict = {}
         self.pairs: dict = {}
         self.solves: dict = {}
+        self.draws: dict = {}
 
 
 @dataclass(frozen=True)
@@ -348,19 +360,26 @@ def _plan_varies_with_cv(config, r, p) -> bool:
     return config.policy.oversample == "random" and p > min(r, config.dataset.n)
 
 
-def _solve_key(config, comp, split_idx, cv_idx, r, p) -> tuple:
-    """Identity of a cell's plan, and so of Theta, that a trial solves with.
-
-    The cell is (r, p) plus the composition, if any, so two compositions
-    with the same p never share a memo.
-    """
+def _plan_key(config, split_idx, cv_idx, r, p) -> tuple:
+    """Identity of the plan, and so of Theta, that a trial of (r, p) measures
+    with: (split, cv, r, p), with cv None for a plan every cv draw shares.
+    Two compositions with the same p have the same r, so they share it."""
     cv = cv_idx if _plan_varies_with_cv(config, r, p) else None
-    return (comp, split_idx, cv, r, p)
+    return (split_idx, cv, r, p)
+
+
+def _plan_group(config, sd, pair, split_idx, cv_idx, p, comps) -> dict:
+    """A new group for the plan of p sensors on ``pair``'s basis: the plan,
+    ``sigmas[comp]`` for each composition in ``comps``, and the lock that
+    the group's first trial holds while it measures and factors Theta."""
+    plan = _get_plan(config, pair, split_idx, cv_idx, p)
+    sigmas = {comp: assign_fidelities(plan, comp, sd.noise, config.assignment) for comp in comps}
+    return {"plan": plan, "sigmas": sigmas, "lock": threading.Lock()}
 
 
 def _resolve_cell(config, cell):
     """Normalize an (r, p) pair or a Composition into (r, p, composition);
-    the composition of an (r, p) pair is None."""
+    an (r, p) pair is the composition of p cheap sensors."""
     n = config.dataset.n
     max_modes = min(n, config.m_train)
     if isinstance(cell, Composition):
@@ -380,7 +399,7 @@ def _resolve_cell(config, cell):
         raise ValueError(
             f"cell (r={r}, p={p}) infeasible: r exceeds min(n, m_train) = {max_modes}"
         )
-    return r, p, None
+    return r, p, Composition(p, 0)
 
 
 def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
@@ -403,26 +422,24 @@ def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
     with kernels.single_blas_thread():
         sd = _get_split(config, cache, split_idx, r)
         pair = _get_pair(config, cache, split_idx, r)
-        memo = cache.solves.get(_solve_key(config, comp, split_idx, cv_idx, r, p))
-        if memo is not None and "plan" in memo:
-            plan, sigmas = memo["plan"]
-        else:
-            plan = _get_plan(config, pair, split_idx, cv_idx, p)
-            sigmas = assign_fidelities(
-                plan, comp or Composition(p, 0), sd.noise, config.assignment
-            )
-            if memo is not None:
-                memo["plan"] = plan, sigmas
-        Y = noisy_measure(
-            sd.test,
-            plan,
-            sigmas,
-            derive_seed(config.master_seed, _TAG_NOISE, split_idx, cv_idx, noise_idx),
-        )
-        # The estimate Psi c = Q (F c) lies in range(Q), so its error splits
-        # orthogonally: ||X - Psi c||^2 = perp2 + ||F c - A||^2. c is the
-        # trial's own, so the r x m difference is formed in place.
-        diff = reconstruct(pair.basis, plan, Y, memo=memo, coefficients=True)
+        group = cache.solves.get(_plan_key(config, split_idx, cv_idx, r, p))
+        if group is None:
+            group = _plan_group(config, sd, pair, split_idx, cv_idx, p, [comp])
+        plan = group["plan"]
+        draw = cache.draws.get((split_idx, cv_idx, noise_idx))
+        seed = None
+        if draw is None:
+            seed = derive_seed(config.master_seed, _TAG_NOISE, split_idx, cv_idx, noise_idx)
+        Y = noisy_measure(sd.test, plan, group["sigmas"][comp], seed, draw=draw)
+        # The group's first trial measures and factors Theta under the
+        # group's lock, so the trials of other cv draws that share the plan
+        # wait for those factors instead of making their own; then the lock
+        # goes. The estimate Psi c = Q (F c) lies in range(Q), so its error
+        # splits orthogonally: ||X - Psi c||^2 = perp2 + ||F c - A||^2. c is
+        # the trial's own, so the r x m difference is formed in place.
+        with group.get("lock") or contextlib.nullcontext():
+            diff = reconstruct(pair.basis, plan, Y, memo=group, coefficients=True)
+        group.pop("lock", None)
         if pair.frame is not None:
             diff = pair.frame @ diff
         diff -= pair.coords
@@ -434,61 +451,121 @@ def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
 
     Every split record, with the SVD basis of the sweep's largest r for SVD
     bases, is built on the calling thread first; an SVD split drops its
-    training matrix once that basis exists. Then one task per (split, r),
-    largest r first, builds that pair's record (basis and CPQR pivots) and
-    runs its cells' plan groups, largest p first, so that for odeim-e the
-    first group builds the plan every later one takes a prefix of. Each group
-    opens its plan's solve memo, runs the cell's trials that share the plan
-    in (cv, noise) order, writing each error by index, and drops the memo,
-    so each Theta is factored once per cell. A repeated cell is run once.
+    training matrix once that basis exists. Then, split by split, come one
+    task per (split, r), largest r first, and one per (split, cv).
+
+    A (split, r) task builds that pair's record (basis, CPQR pivots) and
+    opens the plan groups that every cv draw of the split shares (QR-only
+    plans and odeim-e tails), largest p first, so that for odeim-e the
+    first builds the tail every later one takes a prefix of.
+
+    A (split, cv) task waits for its split's (split, r) tasks, draws each of
+    its n_noise standard-normal arrays once, at the sweep's largest p = P,
+    and runs every trial of the (split, cv), plan by plan, writing each
+    error by index. The cells measured with one plan share its group, so
+    each distinct Theta is factored once, and every trial takes the first p
+    rows of its shared draw, bit for bit its own draw at p. The task opens
+    the group of a random tail itself and drops it when the plan's trials
+    are done; the split's last (split, cv) task drops the shared groups. So
+    a running task holds at most n_noise x P x m_test doubles of draws, and
+    a repeated cell is run once.
 
     The tasks go to one pool of min(threads, cpu count) workers; threads = 1
-    runs them in order on the calling thread. The pool only reads the split
-    records, and each task is the only writer of its pair's record, so
-    results do not depend on the schedule. An error or an interrupt ends the
-    sweep now: queued tasks are cancelled and running ones stop before
-    their next plan group.
+    runs them in order on the calling thread. A (split, cv) task waits only
+    for tasks submitted before it, which the FIFO pool has already started,
+    so the wait cannot deadlock. The pool only reads the split records, a
+    pair record is written only by its own task, before any trial reads
+    it, and the first trial of a group factors Theta under the group's
+    lock, so results do not depend on the schedule. A sweep with one split
+    and one cv draw runs its trials on one worker. An error or an interrupt
+    ends the sweep now: queued tasks are cancelled and running ones stop
+    before their next plan.
     """
     cache = _SweepCache()
     splits, n_cv, n_noise = range(config.n_splits), config.n_placement_cv, config.n_noise
     errors = {cell: np.empty(config.trials) for cell in cells}
-    by_r: dict[int, list] = {}
+    # Each plan's (r, p), and the compositions and cells measured with it.
+    plans: dict[tuple, list] = {}
     for cell, out in errors.items():
         r, p, comp = _resolve_cell(config, cell)
-        by_r.setdefault(r, []).append((p, comp, cell, out))
+        plans.setdefault((r, p), []).append((comp, cell, out))
+    ranks = sorted({r for r, _ in plans}, reverse=True)
+    max_p = max(p for _, p in plans)
+    shared = {s: [] for s in splits}  # keys of the groups every cv draw shares
+    pending = dict.fromkeys(splits, n_cv)  # (split, cv) tasks not yet ended
+    pending_lock = threading.Lock()
     stop = threading.Event()
 
-    def run_task(s, r):
-        pair = _get_pair(config, cache, s, r)
-        # Longest p first: its group builds the odeim-e plan that every
+    def open_group(s, c, r, p):
+        comps = [comp for comp, _, _ in plans[r, p]]
+        return _plan_group(config, cache.splits[s], cache.pairs[s, r], s, c, p, comps)
+
+    def prepare(s, r):
+        _get_pair(config, cache, s, r)
+        # Longest p first: its plan builds the odeim-e tail that every
         # shorter p of this (split, r) takes a prefix of.
-        for p, comp, cell, out in sorted(by_r[r], key=lambda item: -item[0]):
-            varies = _plan_varies_with_cv(config, r, p)
-            for cvs in [[c] for c in range(n_cv)] if varies else [range(n_cv)]:
+        for p in sorted((p for rp, p in plans if rp == r), reverse=True):
+            if stop.is_set():
+                return
+            if not _plan_varies_with_cv(config, r, p):
+                # Every cv draw gives this plan; draw 0 stands for them all.
+                key = _plan_key(config, s, 0, r, p)
+                cache.solves[key] = open_group(s, 0, r, p)
+                shared[s].append(key)
+
+    def run_trials(s, c, prepared=()):
+        try:
+            for future in prepared:
+                future.result()
+            m_test = cache.splits[s].test.shape[1]
+            for z in range(n_noise):
+                seed = derive_seed(config.master_seed, _TAG_NOISE, s, c, z)
+                cache.draws[s, c, z] = np.random.default_rng(seed).standard_normal(
+                    (max_p, m_test)
+                )
+            row = (s * n_cv + c) * n_noise
+            for (r, p), users in plans.items():
                 if stop.is_set():
                     return
-                key = _solve_key(config, comp, s, cvs[0], r, p)
-                cache.solves[key] = {}
+                key = _plan_key(config, s, c, r, p)
+                own = _plan_varies_with_cv(config, r, p)
+                if own:
+                    cache.solves[key] = open_group(s, c, r, p)
                 try:
-                    for c in cvs:
-                        row = (s * n_cv + c) * n_noise
+                    for _, cell, out in users:
                         for z in range(n_noise):
                             out[row + z] = run_trial(config, s, c, z, cell, cache)
                 finally:
-                    del cache.solves[key]
+                    if own:
+                        del cache.solves[key]
+        finally:
+            for z in range(n_noise):
+                cache.draws.pop((s, c, z), None)
+            with pending_lock:
+                pending[s] -= 1
+                last = pending[s] == 0
+            if last:
+                for key in shared[s]:
+                    cache.solves.pop(key, None)
 
-    tasks = [(s, r) for r in sorted(by_r, reverse=True) for s in splits]
     with kernels.single_blas_thread():
         for s in splits:
-            _get_split(config, cache, s, max(by_r))
+            _get_split(config, cache, s, ranks[0])
         workers = min(threads, os.cpu_count() or 1)
         if workers == 1:
-            for task in tasks:
-                run_task(*task)
+            for s in splits:
+                for r in ranks:
+                    prepare(s, r)
+                for c in range(n_cv):
+                    run_trials(s, c)
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 try:
-                    futures = [pool.submit(run_task, *task) for task in tasks]
+                    futures = []
+                    for s in splits:
+                        prepared = [pool.submit(prepare, s, r) for r in ranks]
+                        futures += prepared
+                        futures += [pool.submit(run_trials, s, c, prepared) for c in range(n_cv)]
                     for future in wait(futures, return_when=FIRST_EXCEPTION).done:
                         future.result()
                 except BaseException:

@@ -174,11 +174,21 @@ def assign_fidelities(
     return sigmas
 
 
-def noisy_measure(X, plan: SensorPlan, sigmas, seed: int) -> np.ndarray:
+def noisy_measure(X, plan: SensorPlan, sigmas, seed: int | None, draw=None) -> np.ndarray:
     """Measurements with per-sensor additive Gaussian noise.
 
-    Row j of the noise has i.i.d. N(0, sigmas[j]^2) entries drawn from the
-    seeded stream; sigma = 0 rows are exactly noise-free.
+    Row j of the noise is row j of the standard-normal draw
+    ``default_rng(seed).standard_normal((p, m))`` times sigmas[j]; sigma = 0
+    rows are exactly noise-free.
+
+    ``draw``, if given, stands in for that draw, and ``seed`` is not read:
+    a standard-normal array with at least p rows and one column per
+    snapshot, whose first p rows are scaled (the array is left unchanged).
+    ``standard_normal`` fills its array in row-major order from the stream,
+    so the first p rows of the seed's draw at any larger row count are the
+    draw at p rows bit for bit: callers that measure several plans under
+    one noise seed can draw once, at their largest p, and change no bit of
+    any result.
     """
     sigmas = np.asarray(sigmas, dtype=np.float64)
     if sigmas.ndim != 1 or sigmas.size != plan.p:
@@ -186,9 +196,12 @@ def noisy_measure(X, plan: SensorPlan, sigmas, seed: int) -> np.ndarray:
     if not (0 <= sigmas.min() and sigmas.max() < math.inf):
         raise ValueError("sigmas must be finite and non-negative")
     Y = measure(X, plan)
-    E = np.random.default_rng(seed).standard_normal(Y.shape)
-    # Scaling and then adding Y into the draw gives the bits of
-    # Y + E * sigmas[:, None]: IEEE addition is commutative.
-    E *= sigmas[:, None]
+    if draw is None:
+        draw = np.random.default_rng(seed).standard_normal(Y.shape)
+    elif draw.ndim != 2 or draw.shape[0] < Y.shape[0] or draw.shape[1] != Y.shape[1]:
+        raise ValueError(f"draw has shape {draw.shape}, measurements {Y.shape}")
+    # Adding Y into the scaled draw gives the bits of Y + draw * sigmas[:, None]:
+    # IEEE addition is commutative.
+    E = draw[: Y.shape[0]] * sigmas[:, None]
     E += Y
     return E

@@ -714,8 +714,67 @@ def test_mf_sweep_threads_match_sequential_exactly():
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("oversample", ["random", "odeim-e"])
+@pytest.mark.parametrize("basis_kind", ["svd", "randomized"])
+def test_every_trial_of_a_multi_cell_sweep_equals_a_fresh_trial(
+    monkeypatch, basis_kind, oversample, threads
+):
+    # Cells with different r and p share each (split, cv, noise) draw, and
+    # the grid holds QR-only (6, 5), random-tail or odeim-e cells.
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 2)
+    config = _noisy_config(basis_kind=basis_kind, policy=PlacementPolicy(oversample=oversample))
+    cells = [(r, p) for r in (4, 6) for p in (5, 10)]
+    for cell, got in zip(cells, evaluation._sweep_errors(config, cells, threads), strict=True):
+        want = [
+            run_trial(config, s, c, z, cell)
+            for s in range(config.n_splits)
+            for c in range(config.n_placement_cv)
+            for z in range(config.n_noise)
+        ]
+        assert got.tolist() == want
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_sweep_draws_each_noise_seed_once_at_its_largest_p(monkeypatch, threads):
+    draws = []  # (seed, shape) of every standard-normal draw; append is atomic
+    default_rng = np.random.default_rng
+
+    class RecordingGenerator:
+        def __init__(self, seed):
+            self._seed, self._rng = seed, default_rng(seed)
+
+        def standard_normal(self, size):
+            draws.append((self._seed, tuple(size)))
+            return self._rng.standard_normal(size)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", RecordingGenerator)
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 2)
+    sweep_config, mf_config = _noisy_config(), _mf_config()
+    for config, sweep in (
+        (sweep_config, lambda: sweep_modes_sensors(sweep_config, [4, 6], [5, 10], threads)),
+        (mf_config, lambda: mf_sweep(mf_config, threads)),
+    ):
+        draws.clear()
+        results = sweep()
+        largest = max(getattr(res, "composition", res).p for res in results)
+        seeds = [
+            derive_seed(config.master_seed, evaluation._TAG_NOISE, s, c, z)
+            for s in range(config.n_splits)
+            for c in range(config.n_placement_cv)
+            for z in range(config.n_noise)
+        ]
+        wanted = set(seeds)
+        noise = [(seed, shape) for seed, shape in draws if seed in wanted]
+        m_test = config.dataset.m - config.m_train
+        assert sorted(noise) == sorted((seed, (largest, m_test)) for seed in seeds)
+
+
 def test_sweep_cache_drops_every_factorization(monkeypatch):
-    caches, open_counts = [], []
+    caches, live = [], []  # live: (solve groups, draws) in the cache at each trial
 
     class RecordingCache(evaluation._SweepCache):
         def __init__(self):
@@ -725,18 +784,39 @@ def test_sweep_cache_drops_every_factorization(monkeypatch):
     trial = evaluation.run_trial
 
     def recording_trial(config, s, c, z, cell, cache=None):
-        open_counts.append(len(cache.solves))
+        live.append((len(cache.solves), len(cache.draws)))
         return trial(config, s, c, z, cell, cache)
 
     monkeypatch.setattr(evaluation, "_SweepCache", RecordingCache)
     monkeypatch.setattr(evaluation, "run_trial", recording_trial)
-    sweep_modes_sensors(_noisy_config(), [4, 6], [5, 10], threads=2)
-    mf_sweep(_mf_config(), threads=2)
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 2)
+    workers = 2
+    # Five splits, more than the workers + 1 whose shared groups can be
+    # alive at once.
+    sweep_config, mf_config = _noisy_config(n_splits=5), _mf_config(n_splits=5)
+    sweep_cells = [(r, p) for r in (4, 6) for p in (5, 10)]
+    sweep_modes_sensors(sweep_config, [4, 6], [5, 10], threads=workers)
+    sweep_live, live[:] = live[:], []
+    mf_cells = [res.composition for res in mf_sweep(mf_config, threads=workers)]
     assert len(caches) == 2
-    assert all(cache.solves == {} for cache in caches)
-    # Every trial runs inside its plan's group, and at most one group per
-    # worker thread holds a factorization.
-    assert 1 <= min(open_counts) and max(open_counts) <= 2
+    assert all(cache.solves == {} and cache.draws == {} for cache in caches)
+    for config, cells, counts in (
+        (sweep_config, sweep_cells, sweep_live),
+        (mf_config, mf_cells, live),
+    ):
+        plans = {evaluation._resolve_cell(config, cell)[:2] for cell in cells}
+        shared = sum(not evaluation._plan_varies_with_cv(config, r, p) for r, p in plans)
+        assert 0 < shared < len(plans)
+        # Every trial runs inside its plan's group. A split's shared groups
+        # live from its (split, r) tasks to its last (split, cv) task, which
+        # the FIFO pool bounds to workers + 1 splits at once; each running
+        # (split, cv) task adds at most the one group of its random tail.
+        groups = [count for count, _ in counts]
+        bound = shared * min(config.n_splits, workers + 1) + workers
+        assert 1 <= min(groups) and max(groups) <= bound
+        # Each running (split, cv) task holds its own n_noise draws.
+        draws = [count for _, count in counts]
+        assert min(draws) >= config.n_noise and max(draws) <= workers * config.n_noise
 
 
 _PER_TRIAL = ("run_trial", "reconstruct", "lstsq_minnorm", "noisy_measure")
@@ -768,13 +848,18 @@ def _count_work(monkeypatch, sweep):
 
 def _plan_groups(config, cells) -> int:
     """Trial groups sharing one plan: one per split, or per split and cv
-    draw for a random oversampling tail."""
-    groups = 0
+    draw for a random oversampling tail. Compositions with the same p have
+    the same r and so share their plans."""
+    plans = set()
     for cell in cells:
         r, p, _ = evaluation._resolve_cell(config, cell)
         varies = evaluation._plan_varies_with_cv(config, r, p)
-        groups += config.n_splits * (config.n_placement_cv if varies else 1)
-    return groups
+        plans |= {
+            (s, c if varies else None, r, p)
+            for s in range(config.n_splits)
+            for c in range(config.n_placement_cv)
+        }
+    return len(plans)
 
 
 def test_sweep_factors_each_theta_once(monkeypatch):
@@ -794,17 +879,25 @@ def test_sweep_factors_each_theta_once(monkeypatch):
 
 
 def test_mf_sweep_factors_each_theta_once(monkeypatch):
-    config = _mf_config()
-    results, counts, thetas = _count_work(monkeypatch, lambda: mf_sweep(config, threads=2))
-    # One basis SVD per split, then one SVD per distinct Theta.
-    assert counts["svd"] == config.n_splits + thetas
-    assert thetas < counts["lstsq_minnorm"]
-    for name in _PER_TRIAL:
-        assert counts[name] == len(results) * config.trials
-    groups = _plan_groups(config, [res.composition for res in results])
-    assert thetas <= groups < len(results) * config.trials
-    for name in _PER_PLAN:
-        assert counts[name] == groups
+    # The second budget gives p = 16, 14, 12, 12, 10, 8, 8: two pairs of
+    # compositions share a plan, and so one Theta.
+    for config in (
+        _mf_config(),
+        _noisy_config(budget=budget_from_endpoints(16, 8, 1.0), composition_steps=7),
+    ):
+        with monkeypatch.context() as patch:
+            results, counts, thetas = _count_work(
+                patch, lambda: mf_sweep(config, threads=2)
+            )
+        # One basis SVD per split, then one SVD per distinct Theta.
+        assert counts["svd"] == config.n_splits + thetas
+        assert thetas < counts["lstsq_minnorm"]
+        for name in _PER_TRIAL:
+            assert counts[name] == len(results) * config.trials
+        groups = _plan_groups(config, [res.composition for res in results])
+        assert thetas <= groups < len(results) * config.trials
+        for name in _PER_PLAN:
+            assert counts[name] == groups
 
 
 def test_odeim_sweep_builds_each_plan_once(monkeypatch):
@@ -821,6 +914,38 @@ def test_odeim_sweep_builds_each_plan_once(monkeypatch):
     # The longest p of each (split, r) runs first and builds the greedy
     # tail; every other group takes a prefix of it.
     assert counts["_get_plan"] == groups
+
+
+def test_groups_shared_across_cv_draws_are_factored_once_under_contention(monkeypatch):
+    # Every odeim-e group is shared by all the (split, cv) tasks of its
+    # split; with more workers than cores, switching often, they race for
+    # each group's first trial, and the group's lock lets one factor it.
+    config = _noisy_config(
+        dataset=synthesize(SpectrumSpec(10.0, -0.7, 40), 200, 60, seed=3),
+        basis_kind="randomized", policy=PlacementPolicy(oversample="odeim-e"),
+        n_splits=1, n_placement_cv=8, n_noise=1,
+    )
+    grid = [10, 20, 30], [20, 40, 60]
+    sequential = sweep_modes_sensors(config, *grid, threads=1)
+    svds = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        svds.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            svds.clear()
+            assert sweep_modes_sensors(config, *grid, threads=8) == sequential
+            # The randomized basis needs no SVD: one SVD per cell's Theta.
+            assert len(svds) == len(sequential)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("oversample", ["random", "odeim-e"])
@@ -1200,7 +1325,7 @@ def test_sweeps_on_zero_variance_data(basis_kind, oversample):
 
 
 # ---------------------------------------------------------------------------
-# ownership: one pool task per (split, r)
+# ownership: one pool task per (split, r) and one per (split, cv)
 # ---------------------------------------------------------------------------
 
 
@@ -1336,7 +1461,7 @@ def test_each_split_and_r_is_prepared_once_on_the_thread_of_its_trials(
     monkeypatch.setattr(kernels, "sigma_min_tail", recording(
         "tail", kernels.sigma_min_tail, lambda psi, prefix, count: psi))
     monkeypatch.setattr(evaluation, "run_trial", recording(
-        "trial", evaluation.run_trial, lambda config, s, c, z, cell, cache: (s, cell[0])))
+        "trial", evaluation.run_trial, lambda config, s, c, z, cell, cache: (s, c)))
     monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1354,6 +1479,7 @@ def test_each_split_and_r_is_prepared_once_on_the_thread_of_its_trials(
         for name, key, thread in calls
     ]
     pairs = {(s, r) for s in range(config.n_splits) for r in r_grid}
+    draws = {(s, c) for s in range(config.n_splits) for c in range(config.n_placement_cv)}
     keys = Counter((name, key) for name, key, _ in calls)
     # One split per split index; for SVD sweeps one basis of every mode per
     # split, for randomized ones one basis per (split, r).
@@ -1362,15 +1488,16 @@ def test_each_split_and_r_is_prepared_once_on_the_thread_of_its_trials(
         "basis": config.n_splits * (1 if basis_kind == "svd" else len(r_grid)),
         "pivots": len(pairs),
         "tail": len(pairs) if oversample == "odeim-e" else 0,
-        "trial": len(pairs),
+        "trial": len(draws),
     })
     assert all(count == 1 for (name, _), count in keys.items() if name != "trial")
     assert {key for name, key in keys if name == "pivots"} == pairs
-    # Each pair's pivots, greedy tail and trials ran on one thread: the task
-    # that owns the pair.
+    assert {key for name, key in keys if name == "trial"} == draws
+    # Each pair's pivots and greedy tail ran once, and all the trials of one
+    # (split, cv) draw ran on one thread: the task that owns its draws.
     threads_of = {}
     for name, key, thread in calls:
         if name in ("pivots", "tail", "trial"):
-            threads_of.setdefault(key, set()).add(thread)
-    assert set(threads_of) == pairs
+            threads_of.setdefault((name == "trial", key), set()).add(thread)
+    assert {key for _, key in threads_of} == pairs | draws
     assert all(len(threads) == 1 for threads in threads_of.values())

@@ -16,6 +16,8 @@ from sparsesense.multifidelity import (
     noisy_measure,
 )
 from sparsesense.placement import SensorPlan, measure
+from sparsesense.evaluation import _TAG_NOISE
+from sparsesense.seeding import derive_seed
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +245,56 @@ def test_noisy_measure_is_the_gather_plus_the_scaled_draw(seed):
     # Row-major and column-major state matrices give the same bits.
     for state in (X, np.asfortranarray(X)):
         assert noisy_measure(state, plan, sigmas, noise_seed).tobytes() == want.tobytes()
+
+
+# Noise seeds as sweeps derive them, four at or above 2^63 and two below,
+# and the edges of the seed range.
+_DERIVED = [
+    derive_seed(master, _TAG_NOISE, s, c, z)
+    for master in range(4)
+    for s, c, z in [(0, 0, 0), (1, 2, 3), (19, 19, 9)]
+]
+_DRAW_SEEDS = (
+    [0, 1, 2**63 - 1, 2**63, 2**64 - 1]
+    + [s for s in _DERIVED if s >= 2**63][:4]
+    + [s for s in _DERIVED if s < 2**63][:2]
+)
+
+
+@pytest.mark.parametrize("seed", _DRAW_SEEDS)
+def test_a_draw_at_more_rows_starts_with_the_draw_at_fewer(seed):
+    shapes = [(1, 1, 1), (5, 3, 2), (80, 120, 10), (80, 120, 79), (400, 120, 200), (9, 1, 9)]
+    for rows, m, p in shapes:
+        big = np.random.default_rng(seed).standard_normal((rows, m))
+        small = np.random.default_rng(seed).standard_normal((p, m))
+        assert big[:p].tobytes() == small.tobytes(), (
+            "the first p rows of default_rng(seed).standard_normal((P, m)) are no "
+            "longer the draw at (p, m): sweeps draw each (split, cv, noise) seed once "
+            "at their largest p and hand every cell its first p rows "
+            "(evaluation._sweep_errors), so their results now differ from run_trial's"
+        )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_noisy_measure_with_a_shared_draw_is_the_seeded_measurement(seed):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 60)), int(rng.integers(1, 40))
+    p = int(rng.integers(1, n))
+    X = rng.standard_normal((n, m))
+    plan = SensorPlan(rng.permutation(n)[:p], "qr", p)
+    sigmas = rng.uniform(0.0, 2.0, p)
+    noise_seed = int(rng.integers(2**64, dtype=np.uint64))
+    draw = np.random.default_rng(noise_seed).standard_normal((n, m))
+    before = draw.copy()
+    want = noisy_measure(X, plan, sigmas, noise_seed).tobytes()
+    # The first p rows of the seed's draw at n rows are its draw at p rows.
+    assert noisy_measure(X, plan, sigmas, None, draw=draw).tobytes() == want
+    assert noisy_measure(X, plan, sigmas, None, draw=draw[:p]).tobytes() == want
+    # The shared draw serves other plans after this one: it is left as it was.
+    assert draw.tobytes() == before.tobytes()
+    for bad in (draw[: p - 1], draw[:, :-1], draw[0]):
+        with pytest.raises(ValueError, match="draw has shape"):
+            noisy_measure(X, plan, sigmas, None, draw=bad)
 
 
 def test_noisy_measure_rejects_negative_sigma():
