@@ -23,7 +23,7 @@ _BINARY_MAGIC = b"SSNS"
 
 
 class MatrixFormatError(ValueError):
-    """A matrix file violates its format contract (magic, dimensions, content)."""
+    """A matrix file violates its format contract (dimensions, content)."""
 
 
 class MatrixParseError(MatrixFormatError):
@@ -202,29 +202,19 @@ def save_matrix(ds: Dataset, path: str, fmt: str = "binary") -> None:
         raise ValueError(f"unknown format {fmt!r} (expected 'binary' or 'csv')")
 
 
-def load_matrix(path: str, fmt: str = "auto") -> Dataset:
-    """Load a dataset saved by :func:`save_matrix`.
-
-    With fmt='auto' the binary magic is sniffed and CSV assumed otherwise.
-    """
-    if fmt not in ("auto", "binary", "csv"):
-        raise ValueError(f"unknown format {fmt!r}")
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if fmt == "auto":
-        if len(head) == 0:
-            raise MatrixFormatError(f"{path}: empty file")
-        fmt = "binary" if head == _BINARY_MAGIC else "csv"
-    return _load_binary(path) if fmt == "binary" else _load_csv(path)
-
-
-def _load_binary(path: str) -> Dataset:
+def load_matrix(path: str) -> Dataset:
+    """Load a dataset saved by :func:`save_matrix`, binary if the file
+    starts with the binary magic and CSV otherwise."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    if blob.startswith(_BINARY_MAGIC):
+        return _load_binary(blob, path)
+    return _load_csv(blob, path)
+
+
+def _load_binary(blob: bytes, path: str) -> Dataset:
     if len(blob) < 20:
         raise MatrixFormatError(f"{path}: too short for a binary matrix header")
-    if blob[:4] != _BINARY_MAGIC:
-        raise MatrixFormatError(f"{path}: bad magic {blob[:4]!r} at offset 0")
     rows = int(np.frombuffer(blob, dtype="<u8", count=1, offset=4)[0])
     cols = int(np.frombuffer(blob, dtype="<u8", count=1, offset=12)[0])
     expected = 20 + 8 * rows * cols
@@ -238,17 +228,15 @@ def _load_binary(path: str) -> Dataset:
     return _wrap_loaded(X, path)
 
 
-def _load_csv(path: str) -> Dataset:
-    with open(path, "rb") as fh:
-        physical = fh.read().splitlines()
+def _load_csv(blob: bytes, path: str) -> Dataset:
     # (line number, text) of every nonblank line, numbered as in the file.
     lines = []
-    for lineno, blob in enumerate(physical, start=1):
+    for lineno, raw in enumerate(blob.splitlines(), start=1):
         try:
-            text = blob.decode("ascii")
+            text = raw.decode("ascii")
         except UnicodeDecodeError as exc:
             raise MatrixParseError(
-                f"{path}: line {lineno}: non-ASCII byte 0x{blob[exc.start]:02x} "
+                f"{path}: line {lineno}: non-ASCII byte 0x{raw[exc.start]:02x} "
                 f"at column {exc.start + 1}"
             ) from None
         if text.strip():

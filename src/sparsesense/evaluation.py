@@ -18,7 +18,9 @@ trials that share one sensor plan, it also memoizes what is fixed for that
 plan: the plan itself, each composition's per-sensor noise levels, the
 measurement matrix Theta and its factorization; and while it runs the
 trials of one (split, cv) draw, their standard-normal noise draws, each
-drawn once at the sweep's largest p. All are pure accelerators: SVD modes
+drawn once at the sweep's largest p. Those plan groups and draws belong to
+the task that runs the (split, cv) draw; only the two records are
+sweep-wide. All are pure accelerators: SVD modes
 have the same bits at every r (:func:`basis.svd_basis`), and a draw's first
 p rows are the draw at p rows (:func:`multifidelity.noisy_measure`), so
 results are bit-for-bit those of a fresh cache.
@@ -44,11 +46,12 @@ every BLAS thread setting of the machine.
 from __future__ import annotations
 
 import contextlib
+import copy
 import math
 import os
 import threading
 import warnings
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from hashlib import sha256
 
@@ -219,26 +222,31 @@ class _SweepCache:
 
     ``splits[s]`` is split s's :class:`_SplitRecord` and ``pairs[(s, r)]``
     the :class:`_PairRecord` of split s at r modes; both live as long as the
-    cache. In a sweep, ``splits`` is filled on the calling thread before the
-    pool starts and only read after; each ``pairs`` entry is written only by
-    the (split, r) task that builds it, before any trial reads it.
+    cache. In a sweep they are its only sweep-wide entries: ``splits`` is
+    filled on the calling thread before the pool starts and only read
+    after; each ``pairs`` entry is written only by the (split, r) task that
+    builds it, before any trial reads it.
 
-    ``solves`` maps a plan's :func:`_plan_key` to its group, a
+    ``solves`` and ``draws`` serve one (split, cv) draw. Only the view that
+    a (split, cv) task of :func:`_sweep_errors` makes of the cache fills
+    them: a shallow copy sharing ``splits`` and ``pairs``, with dicts of its
+    own. In any other cache they stay empty, and :func:`run_trial` builds
+    its own plan and draw.
+
+    ``solves[(r, p)]`` is the group of the plan of p sensors at r modes, a
     :func:`_plan_group`: the plan, the per-sensor sigmas of each
     composition measured with it, and a lock. The group's first trial
     stores Theta in it through :func:`reconstruct`, with the basis and plan
     it measured, and Theta's factors through :func:`lstsq_minnorm`, with
     that Theta; each reuses its entry only for the same objects, which
-    every trial of the plan passes. Only :func:`_sweep_errors` opens groups:
-    a (split, r) task those that every cv draw of its split shares (QR-only
-    plans and odeim-e tails), dropped when the split's last (split, cv) task
-    ends, and a (split, cv) task those of its own random tails, one at a
-    time, dropped when its trials are done. None outlives a sweep.
+    every trial of the plan passes. The groups every cv draw of a split
+    shares (QR-only plans and odeim-e tails) come from its (split, r) tasks
+    and are the same objects in every view of the split; a view opens the
+    group of each of its own random tails, one at a time.
 
-    ``draws`` maps a trial's (split, cv, noise) indices to its noise seed's
-    standard-normal draw at the sweep's largest p; :func:`run_trial` hands
-    :func:`noisy_measure` the first p rows. Only a (split, cv) task fills
-    it, for its own trials, and empties it when they are done.
+    ``draws[z]`` is noise seed z's standard-normal draw at the sweep's
+    largest p; :func:`run_trial` hands :func:`noisy_measure` the first p
+    rows. None of these outlives its task.
     """
 
     def __init__(self):
@@ -360,14 +368,6 @@ def _plan_varies_with_cv(config, r, p) -> bool:
     return config.policy.oversample == "random" and p > min(r, config.dataset.n)
 
 
-def _plan_key(config, split_idx, cv_idx, r, p) -> tuple:
-    """Identity of the plan, and so of Theta, that a trial of (r, p) measures
-    with: (split, cv, r, p), with cv None for a plan every cv draw shares.
-    Two compositions with the same p have the same r, so they share it."""
-    cv = cv_idx if _plan_varies_with_cv(config, r, p) else None
-    return (split_idx, cv, r, p)
-
-
 def _plan_group(config, sd, pair, split_idx, cv_idx, p, comps) -> dict:
     """A new group for the plan of p sensors on ``pair``'s basis: the plan,
     ``sigmas[comp]`` for each composition in ``comps``, and the lock that
@@ -409,6 +409,12 @@ def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
     Composition(p, 0), all at level_cheap; or a Composition, whose expensive
     sensors sit where ``config.assignment`` puts them. Identical inputs give
     identical output on one platform.
+
+    ``cache`` is a :class:`_SweepCache`; a trial reads and fills its split
+    and pair records. Its plan group and noise draw come from the cache's
+    ``solves`` and ``draws`` when it holds them, which only a sweep task's
+    view of one (split, cv) draw does, and are built for the trial
+    otherwise.
     """
     for idx, bound, what in (
         (split_idx, config.n_splits, "split_idx"),
@@ -422,11 +428,11 @@ def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
     with kernels.single_blas_thread():
         sd = _get_split(config, cache, split_idx, r)
         pair = _get_pair(config, cache, split_idx, r)
-        group = cache.solves.get(_plan_key(config, split_idx, cv_idx, r, p))
+        group = cache.solves.get((r, p))
         if group is None:
             group = _plan_group(config, sd, pair, split_idx, cv_idx, p, [comp])
         plan = group["plan"]
-        draw = cache.draws.get((split_idx, cv_idx, noise_idx))
+        draw = cache.draws.get(noise_idx)
         seed = None
         if draw is None:
             seed = derive_seed(config.master_seed, _TAG_NOISE, split_idx, cv_idx, noise_idx)
@@ -455,20 +461,23 @@ def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
     task per (split, r), largest r first, and one per (split, cv).
 
     A (split, r) task builds that pair's record (basis, CPQR pivots) and
-    opens the plan groups that every cv draw of the split shares (QR-only
+    returns the plan groups that every cv draw of the split shares (QR-only
     plans and odeim-e tails), largest p first, so that for odeim-e the
     first builds the tail every later one takes a prefix of.
 
-    A (split, cv) task waits for its split's (split, r) tasks, draws each of
-    its n_noise standard-normal arrays once, at the sweep's largest p = P,
-    and runs every trial of the (split, cv), plan by plan, writing each
-    error by index. The cells measured with one plan share its group, so
-    each distinct Theta is factored once, and every trial takes the first p
-    rows of its shared draw, bit for bit its own draw at p. The task opens
+    A (split, cv) task works in its own view of the cache: the sweep's split
+    and pair records, with ``solves`` and ``draws`` of its own. It merges in
+    the groups its split's (split, r) tasks return, waiting for each, draws
+    each of its n_noise standard-normal arrays once, at the sweep's largest
+    p = P, and runs every trial of the (split, cv), plan by plan, writing
+    each error by index. The cells measured with one plan share its group,
+    so each distinct Theta is factored once, and every trial takes the first
+    p rows of its shared draw, bit for bit its own draw at p. The task opens
     the group of a random tail itself and drops it when the plan's trials
-    are done; the split's last (split, cv) task drops the shared groups. So
-    a running task holds at most n_noise x P x m_test doubles of draws, and
-    a repeated cell is run once.
+    are done. Only a split's (split, cv) tasks hold its (split, r) futures,
+    so its shared groups go when the last of them ends. A running task
+    holds at most n_noise x P x m_test doubles of draws, and a repeated
+    cell is run once.
 
     The tasks go to one pool of min(threads, cpu count) workers; threads = 1
     runs them in order on the calling thread. A (split, cv) task waits only
@@ -491,9 +500,6 @@ def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
         plans.setdefault((r, p), []).append((comp, cell, out))
     ranks = sorted({r for r, _ in plans}, reverse=True)
     max_p = max(p for _, p in plans)
-    shared = {s: [] for s in splits}  # keys of the groups every cv draw shares
-    pending = dict.fromkeys(splits, n_cv)  # (split, cv) tasks not yet ended
-    pending_lock = threading.Lock()
     stop = threading.Event()
 
     def open_group(s, c, r, p):
@@ -502,51 +508,38 @@ def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
 
     def prepare(s, r):
         _get_pair(config, cache, s, r)
+        groups = {}
         # Longest p first: its plan builds the odeim-e tail that every
         # shorter p of this (split, r) takes a prefix of.
         for p in sorted((p for rp, p in plans if rp == r), reverse=True):
             if stop.is_set():
-                return
+                break
             if not _plan_varies_with_cv(config, r, p):
                 # Every cv draw gives this plan; draw 0 stands for them all.
-                key = _plan_key(config, s, 0, r, p)
-                cache.solves[key] = open_group(s, 0, r, p)
-                shared[s].append(key)
+                groups[r, p] = open_group(s, 0, r, p)
+        return groups
 
-    def run_trials(s, c, prepared=()):
-        try:
-            for future in prepared:
-                future.result()
-            m_test = cache.splits[s].test.shape[1]
-            for z in range(n_noise):
-                seed = derive_seed(config.master_seed, _TAG_NOISE, s, c, z)
-                cache.draws[s, c, z] = np.random.default_rng(seed).standard_normal(
-                    (max_p, m_test)
-                )
-            row = (s * n_cv + c) * n_noise
-            for (r, p), users in plans.items():
-                if stop.is_set():
-                    return
-                key = _plan_key(config, s, c, r, p)
-                own = _plan_varies_with_cv(config, r, p)
-                if own:
-                    cache.solves[key] = open_group(s, c, r, p)
-                try:
-                    for _, cell, out in users:
-                        for z in range(n_noise):
-                            out[row + z] = run_trial(config, s, c, z, cell, cache)
-                finally:
-                    if own:
-                        del cache.solves[key]
-        finally:
-            for z in range(n_noise):
-                cache.draws.pop((s, c, z), None)
-            with pending_lock:
-                pending[s] -= 1
-                last = pending[s] == 0
-            if last:
-                for key in shared[s]:
-                    cache.solves.pop(key, None)
+    def run_trials(s, c, shared):
+        view = copy.copy(cache)
+        view.solves, view.draws = {}, {}
+        for groups in shared:
+            view.solves.update(groups)
+        m_test = cache.splits[s].test.shape[1]
+        for z in range(n_noise):
+            seed = derive_seed(config.master_seed, _TAG_NOISE, s, c, z)
+            view.draws[z] = np.random.default_rng(seed).standard_normal((max_p, m_test))
+        row = (s * n_cv + c) * n_noise
+        for (r, p), users in plans.items():
+            if stop.is_set():
+                return
+            own = _plan_varies_with_cv(config, r, p)
+            if own:
+                view.solves[r, p] = open_group(s, c, r, p)
+            for _, cell, out in users:
+                for z in range(n_noise):
+                    out[row + z] = run_trial(config, s, c, z, cell, view)
+            if own:
+                del view.solves[r, p]
 
     with kernels.single_blas_thread():
         for s in splits:
@@ -554,18 +547,23 @@ def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
         workers = min(threads, os.cpu_count() or 1)
         if workers == 1:
             for s in splits:
-                for r in ranks:
-                    prepare(s, r)
+                shared = [prepare(s, r) for r in ranks]
                 for c in range(n_cv):
-                    run_trials(s, c)
+                    run_trials(s, c, shared)
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 try:
                     futures = []
                     for s in splits:
                         prepared = [pool.submit(prepare, s, r) for r in ranks]
-                        futures += prepared
-                        futures += [pool.submit(run_trials, s, c, prepared) for c in range(n_cv)]
+                        # Each (split, cv) task gets a lazy map of its own:
+                        # it waits for the (split, r) futures itself, and
+                        # the split's tasks keep them, and so the shared
+                        # groups, alive.
+                        futures += [
+                            pool.submit(run_trials, s, c, map(Future.result, prepared))
+                            for c in range(n_cv)
+                        ]
                     for future in wait(futures, return_when=FIRST_EXCEPTION).done:
                         future.result()
                 except BaseException:
@@ -619,7 +617,8 @@ def mf_sweep(config, threads: int = 1) -> list[CompositionResult]:
     """Error statistics for every budget-feasible composition.
 
     The first element is the all-cheap endpoint and the last the
-    all-expensive one; zero-sensor compositions are skipped with a warning.
+    all-expensive one; zero-sensor compositions are skipped with a warning,
+    and a budget that buys no sensor at all is rejected.
     ``threads`` is as for :func:`sweep_modes_sensors`.
     """
     _check_threads(threads)
@@ -631,6 +630,8 @@ def mf_sweep(config, threads: int = 1) -> list[CompositionResult]:
             warnings.warn(f"skipping composition {comp}: places zero sensors")
             continue
         runnable.append(comp)
+    if not runnable:
+        raise ValueError(f"{config.budget} places no sensor at any composition")
     return [
         CompositionResult(comp, *_summarize(errors), config.trials)
         for comp, errors in zip(runnable, _sweep_errors(config, runnable, threads))

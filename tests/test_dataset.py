@@ -310,13 +310,6 @@ def test_empty_file_is_format_error(tmp_path):
         load_matrix(str(path))
 
 
-def test_binary_bad_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + b"\0" * 32)
-    with pytest.raises(MatrixFormatError, match="magic"):
-        load_matrix(str(path), fmt="binary")
-
-
 def test_binary_truncated_payload(tmp_path):
     ds = _tiny_dataset()
     path = tmp_path / "trunc.bin"

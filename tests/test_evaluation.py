@@ -27,6 +27,7 @@ from sparsesense.evaluation import (
     sweep_modes_sensors,
 )
 from sparsesense.multifidelity import (
+    BudgetSpec,
     Composition,
     NoiseModel,
     budget_from_endpoints,
@@ -367,6 +368,18 @@ def test_mf_skips_zero_sensor_composition_with_warning():
     ]
 
 
+def test_mf_rejects_a_budget_that_buys_no_sensor(monkeypatch):
+    def no_split(*args):
+        raise AssertionError("a split was built")
+
+    monkeypatch.setattr(evaluation, "split", no_split)
+    budget = BudgetSpec(10.0, 20.0, 5.0)
+    config = ExperimentConfig(dataset=_rank_limited_dataset(), budget=budget)
+    with pytest.warns(UserWarning, match="zero sensors"):
+        with pytest.raises(ValueError, match=r"BudgetSpec\(cost_cheap=10.0, .*places no sensor"):
+            mf_sweep(config)
+
+
 def test_mf_respects_assignment_option():
     ds = _rank_limited_dataset(n=40, m=30, rank=8, seed=8)
     budget = budget_from_endpoints(8, 2, 1.0)
@@ -704,8 +717,8 @@ def test_mf_sweep_threads_match_sequential_exactly():
     config = _mf_config()
     sequential = mf_sweep(config, threads=1)
     assert mf_sweep(config, threads=2) == sequential
-    # More workers than cores, switching often: tasks open and drop their
-    # solve memos in the shared cache concurrently.
+    # More workers than cores, switching often: a split's (split, cv) tasks
+    # share its groups and open and drop their own concurrently.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -817,6 +830,49 @@ def test_sweep_cache_drops_every_factorization(monkeypatch):
         # Each running (split, cv) task holds its own n_noise draws.
         draws = [count for _, count in counts]
         assert min(draws) >= config.n_noise and max(draws) <= workers * config.n_noise
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_splits_plan_groups_die_with_its_tasks(monkeypatch, threads):
+    refs, live = [], []  # a weakref to each group's plan; live plans at each trial
+    plan_group, trial = evaluation._plan_group, evaluation.run_trial
+
+    def recording_group(*args):
+        group = plan_group(*args)
+        refs.append(weakref.ref(group["plan"]))
+        return group
+
+    def recording_trial(config, s, c, z, cell, cache=None):
+        live.append(sum(ref() is not None for ref in refs))
+        return trial(config, s, c, z, cell, cache)
+
+    monkeypatch.setattr(evaluation, "_plan_group", recording_group)
+    monkeypatch.setattr(evaluation, "run_trial", recording_trial)
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 2)
+    # Eight splits, more than the workers + 1 whose shared groups can be
+    # alive at once. Every odeim-e plan is shared by all cv draws of its
+    # split; the mf sweep's random tails also give each cv draw its own.
+    sweep_config = _noisy_config(policy=PlacementPolicy(oversample="odeim-e"), n_splits=8)
+    mf_config = _mf_config(n_splits=8)
+    for config, sweep in (
+        (sweep_config, lambda: [
+            (res.r, res.p) for res in sweep_modes_sensors(sweep_config, [4, 6], [5, 10], threads)
+        ]),
+        (mf_config, lambda: [res.composition for res in mf_sweep(mf_config, threads)]),
+    ):
+        refs.clear()
+        live.clear()
+        plans = {evaluation._resolve_cell(config, cell)[:2] for cell in sweep()}
+        shared = sum(not evaluation._plan_varies_with_cv(config, r, p) for r, p in plans)
+        own = len(plans) - shared
+        assert shared > 0
+        assert len(refs) == config.n_splits * (shared + own * config.n_placement_cv)
+        # A split's shared groups live from its (split, r) tasks to its last
+        # (split, cv) task, which the FIFO pool bounds to workers + 1 splits
+        # at once; each running (split, cv) task adds its one random tail.
+        bound = shared * min(config.n_splits, threads + 1) + min(own, 1) * threads
+        assert 0 < min(live) and max(live) <= bound
+        assert all(ref() is None for ref in refs)
 
 
 _PER_TRIAL = ("run_trial", "reconstruct", "lstsq_minnorm", "noisy_measure")
