@@ -5,7 +5,9 @@ and regime classification. Every trial seed is derived from (master seed,
 split index, placement-CV index, noise index) with an avalanche-quality
 mixer, so results are pure functions of the configuration and independent of
 execution schedule. The optional cache memoizes per-split work in two
-records, each holding only what later work reads. One per split holds a
+records, each holding only what later work reads; a sweep gives each
+split a cache of its own, alive only while the split's tasks run, so at
+most workers + 1 splits are alive at once. One per split holds a
 row-major copy of the test snapshots (the order in which trials gather
 sensor rows), ||X_test||, the split's noise model and what its bases are
 built from: for SVD sweeps the SVD basis of the leading modes, as many as
@@ -19,11 +21,11 @@ plan: the plan itself, each composition's per-sensor noise levels, the
 measurement matrix Theta and its factorization; and while it runs the
 trials of one (split, cv) draw, their standard-normal noise draws, each
 drawn once at the sweep's largest p. Those plan groups and draws belong to
-the task that runs the (split, cv) draw; only the two records are
-sweep-wide. All are pure accelerators: SVD modes
-have the same bits at every r (:func:`basis.svd_basis`), and a draw's first
-p rows are the draw at p rows (:func:`multifidelity.noisy_measure`), so
-results are bit-for-bit those of a fresh cache.
+the task that runs the (split, cv) draw, the two records to the split.
+All are pure accelerators: SVD modes have the same bits at every r
+(:func:`basis.svd_basis`), and a draw's first p rows are the draw at p
+rows (:func:`multifidelity.noisy_measure`), so results are bit-for-bit
+those of a fresh cache.
 
 Every sensor plan, in a sweep as in a single trial, comes from
 :func:`placement.plan_with_modes`, given the cached pivots, and its
@@ -51,7 +53,7 @@ import math
 import os
 import threading
 import warnings
-from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_EXCEPTION, Executor, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from hashlib import sha256
 
@@ -222,10 +224,11 @@ class _SweepCache:
 
     ``splits[s]`` is split s's :class:`_SplitRecord` and ``pairs[(s, r)]``
     the :class:`_PairRecord` of split s at r modes; both live as long as the
-    cache. In a sweep they are its only sweep-wide entries: ``splits`` is
-    filled on the calling thread before the pool starts and only read
-    after; each ``pairs`` entry is written only by the (split, r) task that
-    builds it, before any trial reads it.
+    cache. A sweep gives each split a cache of its own, which holds that
+    split's records and nothing else: ``splits`` is filled on the calling
+    thread before the split's tasks are submitted and only read after; each
+    ``pairs`` entry is written only by the (split, r) task that builds it,
+    before any trial reads it. The cache goes with the split's last task.
 
     ``solves`` and ``draws`` serve one (split, cv) draw. Only the view that
     a (split, cv) task of :func:`_sweep_errors` makes of the cache fills
@@ -315,7 +318,7 @@ def _get_split(config, cache, split_idx, r) -> _SplitRecord:
         # (column-gathered) array; then keep only a row-major copy.
         test_norm = float(np.linalg.norm(sd.test))
         if test_norm == 0.0:
-            raise ValueError("reference matrix has zero norm")
+            raise ValueError(f"test snapshots of split {split_idx} have zero norm")
         train, test = sd.train, np.ascontiguousarray(sd.test)
         del sd  # frees the column-gathered test set before the modes
         noise = NoiseModel(config.level_cheap, config.level_exp, overall_variance(train))
@@ -368,10 +371,12 @@ def _plan_varies_with_cv(config, r, p) -> bool:
     return config.policy.oversample == "random" and p > min(r, config.dataset.n)
 
 
-def _plan_group(config, sd, pair, split_idx, cv_idx, p, comps) -> dict:
-    """A new group for the plan of p sensors on ``pair``'s basis: the plan,
-    ``sigmas[comp]`` for each composition in ``comps``, and the lock that
-    the group's first trial holds while it measures and factors Theta."""
+def _plan_group(config, cache, split_idx, cv_idx, r, p, comps) -> dict:
+    """A new group for the plan of p sensors on the basis of ``cache``'s
+    pair (split_idx, r): the plan, ``sigmas[comp]`` for each composition in
+    ``comps``, and the lock that the group's first trial holds while it
+    measures and factors Theta."""
+    sd, pair = cache.splits[split_idx], cache.pairs[split_idx, r]
     plan = _get_plan(config, pair, split_idx, cv_idx, p)
     sigmas = {comp: assign_fidelities(plan, comp, sd.noise, config.assignment) for comp in comps}
     return {"plan": plan, "sigmas": sigmas, "lock": threading.Lock()}
@@ -430,7 +435,7 @@ def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
         pair = _get_pair(config, cache, split_idx, r)
         group = cache.solves.get((r, p))
         if group is None:
-            group = _plan_group(config, sd, pair, split_idx, cv_idx, p, [comp])
+            group = _plan_group(config, cache, split_idx, cv_idx, r, p, [comp])
         plan = group["plan"]
         draw = cache.draws.get(noise_idx)
         seed = None
@@ -452,61 +457,76 @@ def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
         return math.sqrt(pair.perp2 + _sumsq(diff)) / sd.test_norm
 
 
+class _InlineExecutor(Executor):
+    """Runs each task at submit, on the calling thread: the one-worker
+    schedule of :func:`_sweep_errors`. A task's error propagates from
+    ``submit`` itself."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
 def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
     """Errors of every trial of every cell, each in (split, cv, noise) order.
 
-    Every split record, with the SVD basis of the sweep's largest r for SVD
-    bases, is built on the calling thread first; an SVD split drops its
-    training matrix once that basis exists. Then, split by split, come one
-    task per (split, r), largest r first, and one per (split, cv).
+    Splits stream through one submission loop. For split s the calling
+    thread first waits until every (split, cv) task of the splits before
+    s - workers has ended, raising the first error it finds; then builds
+    split s's record, with the SVD basis of the sweep's largest r for SVD
+    bases, into a cache of the split's own (an SVD split drops its training
+    matrix once that basis exists); then submits one task per (split, r),
+    largest r first, and one per (split, cv), all with that cache; and then
+    drops its own references to the cache and the (split, r) futures. So
+    at most workers + 1 splits are alive at once, and the split stage
+    overlaps the trials of the splits before it.
 
     A (split, r) task builds that pair's record (basis, CPQR pivots) and
     returns the plan groups that every cv draw of the split shares (QR-only
     plans and odeim-e tails), largest p first, so that for odeim-e the
     first builds the tail every later one takes a prefix of.
 
-    A (split, cv) task works in its own view of the cache: the sweep's split
-    and pair records, with ``solves`` and ``draws`` of its own. It merges in
-    the groups its split's (split, r) tasks return, waiting for each, draws
-    each of its n_noise standard-normal arrays once, at the sweep's largest
-    p = P, and runs every trial of the (split, cv), plan by plan, writing
-    each error by index. The cells measured with one plan share its group,
-    so each distinct Theta is factored once, and every trial takes the first
-    p rows of its shared draw, bit for bit its own draw at p. The task opens
-    the group of a random tail itself and drops it when the plan's trials
-    are done. Only a split's (split, cv) tasks hold its (split, r) futures,
-    so its shared groups go when the last of them ends. A running task
-    holds at most n_noise x P x m_test doubles of draws, and a repeated
-    cell is run once.
+    A (split, cv) task works in its own view of the split's cache: the
+    split and pair records, with ``solves`` and ``draws`` of its own. It
+    merges in the groups its split's (split, r) tasks return, waiting for
+    each, draws each of its n_noise standard-normal arrays once, at the
+    sweep's largest p = P, and runs every trial of the (split, cv), plan by
+    plan, writing each error by index. The cells measured with one plan
+    share its group, so each distinct Theta is factored once, and every
+    trial takes the first p rows of its shared draw, bit for bit its own
+    draw at p. The task opens the group of a random tail itself and drops
+    it when the plan's trials are done. Only a split's (split, cv) tasks
+    hold its cache and its (split, r) futures, so its records and shared
+    groups go when the last of them ends. A running task holds at most
+    n_noise x P x m_test doubles of draws, and a repeated cell is run once.
 
-    The tasks go to one pool of min(threads, cpu count) workers; threads = 1
-    runs them in order on the calling thread. A (split, cv) task waits only
-    for tasks submitted before it, which the FIFO pool has already started,
-    so the wait cannot deadlock. The pool only reads the split records, a
-    pair record is written only by its own task, before any trial reads
-    it, and the first trial of a group factors Theta under the group's
-    lock, so results do not depend on the schedule. A sweep with one split
-    and one cv draw runs its trials on one worker. An error or an interrupt
-    ends the sweep now: queued tasks are cancelled and running ones stop
-    before their next plan.
+    The tasks go to one pool of min(threads, cpu count) workers; with one
+    worker an :class:`_InlineExecutor` runs each as it is submitted, on the
+    calling thread. A (split, cv) task waits only for tasks submitted
+    before it, which the FIFO pool has already started, so the wait cannot
+    deadlock. The pool only reads a split record, a pair record is written
+    only by its own task, before any trial reads it, and the first trial
+    of a group factors Theta under the group's lock, so results do not
+    depend on the schedule. A sweep with one split and one cv draw runs its
+    trials on one worker. An error or an interrupt ends the sweep now:
+    queued tasks are cancelled and running ones stop before their next
+    plan.
     """
-    cache = _SweepCache()
-    splits, n_cv, n_noise = range(config.n_splits), config.n_placement_cv, config.n_noise
+    n_cv, n_noise = config.n_placement_cv, config.n_noise
     errors = {cell: np.empty(config.trials) for cell in cells}
     # Each plan's (r, p), and the compositions and cells measured with it.
     plans: dict[tuple, list] = {}
     for cell, out in errors.items():
         r, p, comp = _resolve_cell(config, cell)
         plans.setdefault((r, p), []).append((comp, cell, out))
+    comps = {rp: [comp for comp, _, _ in users] for rp, users in plans.items()}
     ranks = sorted({r for r, _ in plans}, reverse=True)
-    max_p = max(p for _, p in plans)
+    # Every shared noise draw: the sweep's largest p rows by m_test columns.
+    draw_shape = (max(p for _, p in plans), config.dataset.m - config.m_train)
     stop = threading.Event()
 
-    def open_group(s, c, r, p):
-        comps = [comp for comp, _, _ in plans[r, p]]
-        return _plan_group(config, cache.splits[s], cache.pairs[s, r], s, c, p, comps)
-
-    def prepare(s, r):
+    def prepare(cache, s, r):
         _get_pair(config, cache, s, r)
         groups = {}
         # Longest p first: its plan builds the odeim-e tail that every
@@ -516,60 +536,59 @@ def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
                 break
             if not _plan_varies_with_cv(config, r, p):
                 # Every cv draw gives this plan; draw 0 stands for them all.
-                groups[r, p] = open_group(s, 0, r, p)
+                groups[r, p] = _plan_group(config, cache, s, 0, r, p, comps[r, p])
         return groups
 
-    def run_trials(s, c, shared):
+    def run_trials(cache, s, c, shared):
         view = copy.copy(cache)
-        view.solves, view.draws = {}, {}
-        for groups in shared:
-            view.solves.update(groups)
-        m_test = cache.splits[s].test.shape[1]
+        view.solves = {rp: group for groups in shared for rp, group in groups.items()}
+        view.draws = {}
         for z in range(n_noise):
             seed = derive_seed(config.master_seed, _TAG_NOISE, s, c, z)
-            view.draws[z] = np.random.default_rng(seed).standard_normal((max_p, m_test))
+            view.draws[z] = np.random.default_rng(seed).standard_normal(draw_shape)
         row = (s * n_cv + c) * n_noise
         for (r, p), users in plans.items():
             if stop.is_set():
                 return
             own = _plan_varies_with_cv(config, r, p)
             if own:
-                view.solves[r, p] = open_group(s, c, r, p)
+                view.solves[r, p] = _plan_group(config, view, s, c, r, p, comps[r, p])
             for _, cell, out in users:
                 for z in range(n_noise):
                     out[row + z] = run_trial(config, s, c, z, cell, view)
             if own:
                 del view.solves[r, p]
 
+    def submit_split(pool, s):
+        # The split's cache and (split, r) futures are locals: once this
+        # returns, only the split's tasks hold them.
+        cache = _SweepCache()
+        _get_split(config, cache, s, ranks[0])
+        prepared = [pool.submit(prepare, cache, s, r) for r in ranks]
+        # Each (split, cv) task gets a lazy map of its own: it waits for the
+        # (split, r) futures itself, and the split's tasks keep them, and
+        # so the shared groups, alive.
+        return [
+            pool.submit(run_trials, cache, s, c, map(Future.result, prepared))
+            for c in range(n_cv)
+        ]
+
     with kernels.single_blas_thread():
-        for s in splits:
-            _get_split(config, cache, s, ranks[0])
         workers = min(threads, os.cpu_count() or 1)
-        if workers == 1:
-            for s in splits:
-                shared = [prepare(s, r) for r in ranks]
-                for c in range(n_cv):
-                    run_trials(s, c, shared)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                try:
-                    futures = []
-                    for s in splits:
-                        prepared = [pool.submit(prepare, s, r) for r in ranks]
-                        # Each (split, cv) task gets a lazy map of its own:
-                        # it waits for the (split, r) futures itself, and
-                        # the split's tasks keep them, and so the shared
-                        # groups, alive.
-                        futures += [
-                            pool.submit(run_trials, s, c, map(Future.result, prepared))
-                            for c in range(n_cv)
-                        ]
-                    for future in wait(futures, return_when=FIRST_EXCEPTION).done:
-                        future.result()
-                except BaseException:
-                    stop.set()
-                    pool.shutdown(cancel_futures=True)
-                    raise
+        with ThreadPoolExecutor(workers) if workers > 1 else _InlineExecutor() as pool:
+            try:
+                pending = []  # each split's (split, cv) futures, oldest split first
+                for s in range(config.n_splits):
+                    if len(pending) > workers:
+                        for future in wait(pending.pop(0), return_when=FIRST_EXCEPTION).done:
+                            future.result()
+                    pending.append(submit_split(pool, s))
+                for future in wait(sum(pending, []), return_when=FIRST_EXCEPTION).done:
+                    future.result()
+            except BaseException:
+                stop.set()
+                pool.shutdown(cancel_futures=True)
+                raise
     return [errors[cell] for cell in cells]
 
 

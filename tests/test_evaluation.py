@@ -811,7 +811,9 @@ def test_sweep_cache_drops_every_factorization(monkeypatch):
     sweep_modes_sensors(sweep_config, [4, 6], [5, 10], threads=workers)
     sweep_live, live[:] = live[:], []
     mf_cells = [res.composition for res in mf_sweep(mf_config, threads=workers)]
-    assert len(caches) == 2
+    # One cache per split, in split order, each holding only its own split.
+    splits = list(range(sweep_config.n_splits)) + list(range(mf_config.n_splits))
+    assert [list(cache.splits) for cache in caches] == [[s] for s in splits]
     assert all(cache.solves == {} and cache.draws == {} for cache in caches)
     for config, cells, counts in (
         (sweep_config, sweep_cells, sweep_live),
@@ -1080,8 +1082,12 @@ def test_svd_sweeps_keep_the_leading_modes_of_their_largest_r(monkeypatch):
     results = mf_sweep(mf_config, threads=2)
     mf_r = max(evaluation._resolve_cell(mf_config, res.composition)[0] for res in results)
     assert mf_r < min(40, mf_config.m_train)
-    for cache, want in zip(caches, (8, mf_r), strict=True):
-        assert [cache.splits[s].source.r for s in range(config.n_splits)] == [want, want]
+    # One cache per split: the sweep's splits, then the mf sweep's.
+    n = config.n_splits
+    wants = [(s, 8) for s in range(n)] + [(s, mf_r) for s in range(mf_config.n_splits)]
+    assert len(caches) == len(wants)
+    for cache, (s, want) in zip(caches, wants):
+        assert list(cache.splits) == [s] and cache.splits[s].source.r == want
 
 
 @pytest.mark.parametrize("oversample", ["random", "odeim-e"])
@@ -1209,12 +1215,37 @@ def test_error_in_place_rejects_zero_reference(monkeypatch):
     svds = []
     monkeypatch.setattr(evaluation, "svd_basis", lambda *args: svds.append(args))
     cache = evaluation._SweepCache()
-    with pytest.raises(ValueError, match="zero norm"):
+    with pytest.raises(ValueError, match="test snapshots of split 0 have zero norm"):
         run_trial(config, 0, 0, 0, (4, 8), cache)
     assert cache.splits == {} and svds == []
-    with pytest.raises(ValueError, match="zero norm"):
+    with pytest.raises(ValueError, match="test snapshots of split 0 have zero norm"):
         sweep_modes_sensors(config, [4], [8], threads=2)
     assert svds == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_zero_norm_split_is_named_after_earlier_splits_ran(monkeypatch, threads):
+    # Only the last of five splits has all-zero test snapshots. Splits are
+    # built as the sweep goes, and with at most workers + 1 <= 3 splits alive
+    # split 0's trials have ended before split 4 is built, so its error
+    # comes after them; it names the split.
+    config = _noisy_config(n_splits=5)
+    X = config.dataset.X.copy()
+    X[:, split(config.dataset, config.train_fraction,
+               derive_seed(config.master_seed, evaluation._TAG_SPLIT, 4)).test_indices] = 0.0
+    config = replace(config, dataset=Dataset(X))
+    ran = set()  # the splits whose trials ran
+    trial = evaluation.run_trial
+
+    def recording_trial(config, s, c, z, cell, cache):
+        ran.add(s)
+        return trial(config, s, c, z, cell, cache)
+
+    monkeypatch.setattr(evaluation, "run_trial", recording_trial)
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 2)
+    with pytest.raises(ValueError, match="test snapshots of split 4 have zero norm"):
+        sweep_modes_sensors(config, [4], [8], threads=threads)
+    assert 0 in ran and 4 not in ran
 
 
 @pytest.mark.parametrize("threads", [0, -1])
@@ -1401,12 +1432,12 @@ def test_a_sweep_keeps_one_record_per_split_and_per_split_and_r(
     config = _noisy_config(basis_kind=basis_kind, policy=PlacementPolicy(oversample=oversample))
     r_grid = [4, 6, 8]
     sweep_modes_sensors(config, r_grid, [5, 10], threads=2)
-    (cache,) = caches
-    splits = range(config.n_splits)
-    assert sorted(cache.splits) == list(splits)
-    assert sorted(cache.pairs) == [(s, r) for s in splits for r in r_grid]
-    assert cache.solves == {}
-    for s in splits:
+    # One cache per split, in split order: its own split and its own pairs.
+    assert len(caches) == config.n_splits
+    for s, cache in enumerate(caches):
+        assert list(cache.splits) == [s]
+        assert sorted(cache.pairs) == [(s, r) for r in r_grid]
+        assert cache.solves == {}
         source = cache.splits[s].source
         assert isinstance(source, Basis) == (basis_kind == "svd")
         for r in r_grid:
@@ -1423,32 +1454,108 @@ def test_a_sweep_keeps_one_record_per_split_and_per_split_and_r(
 
 
 def test_svd_split_records_drop_the_training_matrix(monkeypatch):
-    refs = []  # a weakref to each split's training matrix, in build order
-    caches = []
-    split_impl = evaluation.split
+    refs = {}  # split seed -> a weakref to that split's training matrix
+    built = []  # every such weakref, in build order
+    checked = []  # (basis kind, split) of every trial, after its check
+    split_impl, trial = evaluation.split, evaluation.run_trial
 
-    def recording_split(*args):
-        sd = split_impl(*args)
-        refs.append(weakref.ref(sd.train))
+    def recording_split(ds, fraction, seed):
+        sd = split_impl(ds, fraction, seed)
+        refs[seed] = weakref.ref(sd.train)
+        built.append(refs[seed])
         return sd
 
-    class RecordingCache(evaluation._SweepCache):
-        def __init__(self):
-            super().__init__()
-            caches.append(self)
+    def checking_trial(config, s, c, z, cell, cache):
+        # While the split's trials run, an SVD split keeps no training
+        # matrix: it builds its pairs from its modes. A randomized split
+        # builds them from the training matrix itself.
+        train = refs[derive_seed(config.master_seed, evaluation._TAG_SPLIT, s)]()
+        if config.basis_kind == "svd":
+            assert train is None
+        else:
+            assert train is not None and train is cache.splits[s].source
+        checked.append((config.basis_kind, s))
+        return trial(config, s, c, z, cell, cache)
 
     monkeypatch.setattr(evaluation, "split", recording_split)
-    monkeypatch.setattr(evaluation, "_SweepCache", RecordingCache)
+    monkeypatch.setattr(evaluation, "run_trial", checking_trial)
     for basis_kind in ("svd", "randomized"):
         config = _noisy_config(basis_kind=basis_kind)
         sweep_modes_sensors(config, [4, 6], [5, 10], threads=2)
-    gc.collect()
     n = config.n_splits
-    assert len(refs) == 2 * n and [len(cache.splits) for cache in caches] == [n, n]
-    # An SVD split builds its pairs from its modes and keeps no training
-    # matrix; a randomized split builds them from the training matrix.
-    assert all(ref() is None for ref in refs[:n])
-    assert all(ref() is caches[1].splits[s].source for s, ref in enumerate(refs[n:]))
+    assert len(built) == 2 * n
+    assert Counter(checked) == {
+        (kind, s): 4 * config.n_placement_cv * config.n_noise
+        for kind in ("svd", "randomized")
+        for s in range(n)
+    }
+    # After the sweep every split record, so every training matrix, is gone.
+    gc.collect()
+    assert all(ref() is None for ref in built)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_at_most_workers_plus_one_splits_are_alive(monkeypatch, threads):
+    live = weakref.WeakValueDictionary()  # id -> every split record still alive
+    counts = []  # live split records at each trial
+    get_split, trial = evaluation._get_split, evaluation.run_trial
+
+    def recording_get_split(*args):
+        record = get_split(*args)
+        live[id(record)] = record
+        return record
+
+    def counting_trial(*args):
+        counts.append(len(live))
+        return trial(*args)
+
+    monkeypatch.setattr(evaluation, "_get_split", recording_get_split)
+    monkeypatch.setattr(evaluation, "run_trial", counting_trial)
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 8)
+    dataset = synthesize(SpectrumSpec(10.0, -0.7, 30), 40, 30, seed=21)
+    sweep_config = _noisy_config(
+        dataset=dataset, policy=PlacementPolicy(oversample="odeim-e"), n_splits=8
+    )
+    mf_config = _mf_config(dataset=dataset, n_splits=8)
+    for config, sweep in (
+        (sweep_config, lambda: sweep_modes_sensors(sweep_config, [4, 6], [5, 10], threads)),
+        (mf_config, lambda: mf_sweep(mf_config, threads)),
+    ):
+        counts.clear()
+        sweep()
+        # The calling thread builds split s only once the trials of the
+        # splits before s - workers have ended.
+        assert 1 <= min(counts) and max(counts) <= threads + 1
+        assert len(live) == 0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_an_error_stops_the_split_stage(monkeypatch, threads):
+    splits, slow = [], []  # split calls; the other split-0 trials that ran
+    split_impl = evaluation.split
+
+    def counting_split(*args):
+        splits.append(args[2])
+        return split_impl(*args)
+
+    def failing_trial(config, s, c, z, cell, cache):
+        if s == 0 and c == 0:
+            raise RuntimeError("trial failed")
+        if s == 0:
+            # The rest of split 0 is slow: the sweep ends on the first
+            # error, without waiting for the split's other tasks.
+            time.sleep(0.05)
+            slow.append(c)
+        return 0.0
+
+    monkeypatch.setattr(evaluation, "split", counting_split)
+    monkeypatch.setattr(evaluation, "run_trial", failing_trial)
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 2)
+    config = _noisy_config(n_splits=8)
+    with pytest.raises(RuntimeError, match="trial failed"):
+        sweep_modes_sensors(config, [4, 6], [5, 10], threads=threads)
+    assert len(splits) < config.n_splits
+    assert len(slow) < 4 * (config.n_placement_cv - 1) * config.n_noise
 
 
 def test_each_split_builds_one_noise_model(monkeypatch):
@@ -1526,10 +1633,13 @@ def test_each_split_and_r_is_prepared_once_on_the_thread_of_its_trials(
     finally:
         sys.setswitchinterval(interval)
 
-    (cache,) = caches
+    # One cache per split, in split order: its own split and its own pairs.
+    assert [list(cache.splits) for cache in caches] == [[s] for s in range(config.n_splits)]
     owner = {}  # id of a pair's basis or of its mode matrix -> (split, r)
-    for pair_key, pair in cache.pairs.items():
-        owner[id(pair.basis)] = owner[id(pair.basis.psi)] = pair_key
+    for s, cache in enumerate(caches):
+        assert sorted(cache.pairs) == [(s, r) for r in sorted(r_grid)]
+        for pair_key, pair in cache.pairs.items():
+            owner[id(pair.basis)] = owner[id(pair.basis.psi)] = pair_key
     calls = [
         (name, owner[id(key)] if name in ("pivots", "tail") else key, thread)
         for name, key, thread in calls
