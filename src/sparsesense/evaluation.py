@@ -18,7 +18,7 @@ leading modes), its CPQR pivots, the test set in an orthonormal frame of
 the basis and the longest odeim-e plan built so far. While a sweep runs the
 trials that share one sensor plan, it also memoizes what is fixed for that
 plan: the plan itself, each composition's per-sensor noise levels, the
-measurement matrix Theta and its factorization; and while it runs the
+measurement matrix Theta and its pseudoinverse; and while it runs the
 trials of one (split, cv) draw, their standard-normal noise draws, each
 drawn once at the sweep's largest p. Those plan groups and draws belong to
 the task that runs the (split, cv) draw, the two records to the split.
@@ -53,7 +53,7 @@ import math
 import os
 import threading
 import warnings
-from concurrent.futures import FIRST_EXCEPTION, Executor, Future, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from hashlib import sha256
 
@@ -97,7 +97,10 @@ def reconstruct(
     ``memo`` is an optional caller-owned dict. A call stores the basis, the
     plan and their Theta in it, and a later call with those same basis and
     plan objects reuses that Theta; any other call measures its own and
-    refills the memo. The memo is passed on to :func:`lstsq_minnorm`.
+    refills the memo. The memo is passed on to :func:`lstsq_minnorm`, which
+    keeps Theta's pseudoinverse G there (from Householder QR when R
+    certifies full rank, from the truncated SVD otherwise), so a call that
+    reuses the Theta solves with the one product G @ Y.
     """
     hit = None if memo is None else memo.get("theta")
     if hit is not None and hit[0] is basis and hit[1] is plan:
@@ -240,8 +243,8 @@ class _SweepCache:
     :func:`_plan_group`: the plan, the per-sensor sigmas of each
     composition measured with it, and a lock. The group's first trial
     stores Theta in it through :func:`reconstruct`, with the basis and plan
-    it measured, and Theta's factors through :func:`lstsq_minnorm`, with
-    that Theta; each reuses its entry only for the same objects, which
+    it measured, and Theta's pseudoinverse through :func:`lstsq_minnorm`,
+    with that Theta; each reuses its entry only for the same objects, which
     every trial of the plan passes. The groups every cv draw of a split
     shares (QR-only plans and odeim-e tails) come from its (split, r) tasks
     and are the same objects in every view of the split; a view opens the
@@ -444,7 +447,7 @@ def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
         Y = noisy_measure(sd.test, plan, group["sigmas"][comp], seed, draw=draw)
         # The group's first trial measures and factors Theta under the
         # group's lock, so the trials of other cv draws that share the plan
-        # wait for those factors instead of making their own; then the lock
+        # wait for its pseudoinverse instead of making their own; then the lock
         # goes. The estimate Psi c = Q (F c) lies in range(Q), so its error
         # splits orthogonally: ||X - Psi c||^2 = perp2 + ||F c - A||^2. c is
         # the trial's own, so the r x m difference is formed in place.
@@ -472,8 +475,9 @@ def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
     """Errors of every trial of every cell, each in (split, cv, noise) order.
 
     Splits stream through one submission loop. For split s the calling
-    thread first waits until every (split, cv) task of the splits before
-    s - workers has ended, raising the first error it finds; then builds
+    thread first waits until at most ``workers`` splits have (split, cv)
+    tasks left, on the tasks of every such split at once, so the first
+    error of any of them is raised as soon as its task ends; then builds
     split s's record, with the SVD basis of the sweep's largest r for SVD
     bases, into a cache of the split's own (an SVD split drops its training
     matrix once that basis exists); then submits one task per (split, r),
@@ -573,18 +577,27 @@ def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
             for c in range(n_cv)
         ]
 
+    def settle(pending, keep):
+        # Wait on every pending split's tasks at once, so the first error of
+        # any split is raised as soon as its task ends, until at most
+        # ``keep`` splits have tasks left.
+        while len(pending) > keep:
+            done = wait(sum(pending, []), return_when=FIRST_COMPLETED).done
+            for future in done:
+                future.result()
+            pending[:] = [
+                left for futures in pending if (left := [f for f in futures if f not in done])
+            ]
+
     with kernels.single_blas_thread():
         workers = min(threads, os.cpu_count() or 1)
         with ThreadPoolExecutor(workers) if workers > 1 else _InlineExecutor() as pool:
             try:
-                pending = []  # each split's (split, cv) futures, oldest split first
+                pending = []  # the unfinished (split, cv) futures of each split
                 for s in range(config.n_splits):
-                    if len(pending) > workers:
-                        for future in wait(pending.pop(0), return_when=FIRST_EXCEPTION).done:
-                            future.result()
+                    settle(pending, workers)
                     pending.append(submit_split(pool, s))
-                for future in wait(sum(pending, []), return_when=FIRST_EXCEPTION).done:
-                    future.result()
+                settle(pending, 0)
             except BaseException:
                 stop.set()
                 pool.shutdown(cancel_futures=True)

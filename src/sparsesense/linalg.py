@@ -1,7 +1,8 @@
 """Dense linear algebra core.
 
 Column-pivoted QR (pivot selection and full factors), minimum-norm least
-squares via a truncated pseudoinverse, condition numbers, and seeded random
+squares through a pseudoinverse factored once (QR when full rank is
+certified, the truncated SVD otherwise), condition numbers, and seeded random
 matrix generation. All operations are pure: inputs are never mutated and
 outputs are safe to share across threads.
 """
@@ -110,40 +111,76 @@ def rank_cutoff(singular_values: np.ndarray, shape) -> float:
     return max(shape) * smax * _EPS
 
 
+# Margin of the QR route's full-rank certificate (see _pinv): every singular
+# value must lie a factor _QR_MARGIN above rank_cutoff. That is far more than
+# the roundoff of the QR factors and of G at any condition number the
+# certificate admits (below 1 / (_QR_MARGIN max(dims) eps), about 1e9 at 400
+# rows).
+_QR_MARGIN = 1e4
+
+
+def _pinv(Theta: np.ndarray) -> np.ndarray:
+    """pinv(Theta) as an r x p array, for a finite p x r Theta.
+
+    From the Householder QR T = Q R of the tall orientation T (Theta when
+    p >= r, Theta^T otherwise), G = R^-1 Q^T is pinv(T) when R is
+    invertible, and pinv(Theta) is G or G^T. sigma_min(Theta) = 1 /
+    ||R^-1||_2 >= 1 / ||G||_F and sigma_max(Theta) = ||R||_2 <= ||R||_F, so
+    ||G||_F ||R||_F bounds the condition number; when it is below
+    1 / (_QR_MARGIN max(dims) eps), no singular value can be at or below
+    :func:`rank_cutoff` and G is the truncated pseudoinverse. Otherwise
+    (rank-deficient, near-singular or all-zero Theta) G comes from the
+    SVD, keeping the singular values above the cutoff.
+    """
+    p, r = Theta.shape
+    Q, R = np.linalg.qr(Theta if p >= r else Theta.T)
+    try:
+        G = np.linalg.solve(R, Q.T)
+    except np.linalg.LinAlgError:  # an exactly singular R
+        pass
+    else:
+        # An overflow or an underflow (inf * 0) fails the test.
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.linalg.norm(G) * np.linalg.norm(R) * max(p, r) * _EPS
+        if bound * _QR_MARGIN < 1.0:
+            return G if p >= r else G.T
+    U, s, Vh = np.linalg.svd(Theta, full_matrices=False)
+    keep = s > rank_cutoff(s, Theta.shape)
+    return (Vh[keep].T / s[keep]) @ U[:, keep].T
+
+
 def lstsq_minnorm(Theta, Y, memo: dict | None = None) -> np.ndarray:
     """Minimum-norm least-squares solution pinv(Theta) @ Y.
 
-    Computed through the SVD with singular values at or below
-    :func:`rank_cutoff` treated as zero; an all-zero Theta therefore yields
-    an all-zero solution rather than an error.
+    Theta is factored once into its pseudoinverse G, r x p, and the
+    solution is the one product G @ Y. G comes from the Householder QR of
+    Theta, or of Theta^T when Theta is wide, when R certifies that no
+    singular value is at or below :func:`rank_cutoff` (by a margin of
+    ``_QR_MARGIN``; see :func:`_pinv`), and from the SVD otherwise, with
+    the singular values at or below the cutoff treated as zero; an
+    all-zero Theta therefore yields an all-zero solution rather than an
+    error.
 
-    ``memo`` is an optional caller-owned dict. A call stores Theta and its
-    truncated factors in it, and a later call with that same Theta object
-    (``is``; its entries unchanged) reuses the factors instead of factoring
-    again, applying the same arithmetic to the same factors, so the solution
-    is bit-for-bit the one a call without a memo returns. A call with any
+    ``memo`` is an optional caller-owned dict. A call stores Theta and G in
+    it, and a later call with that same Theta object (``is``; its entries
+    unchanged) reuses G instead of factoring again, so the solution is
+    bit-for-bit the one a call without a memo returns. A call with any
     other Theta factors it and refills the memo. Theta is scanned for NaN
-    and Inf only when its factors are computed.
+    and Inf only when it is factored.
     """
     hit = None if memo is None else memo.get("pinv")
-    factors = hit[1] if hit is not None and hit[0] is Theta else None
-    key, Theta = Theta, as_matrix(Theta, "Theta", require_finite=factors is None)
+    G = hit[1] if hit is not None and hit[0] is Theta else None
+    key, Theta = Theta, as_matrix(Theta, "Theta", require_finite=G is None)
     Y = as_matrix(Y, "Y", require_finite=False)
     if Y.shape[0] != Theta.shape[0]:
         raise ValueError(
             f"row mismatch: Theta has {Theta.shape[0]} rows, Y has {Y.shape[0]}"
         )
-    if factors is None:
-        U, s, Vh = np.linalg.svd(Theta, full_matrices=False)
-        keep = s > rank_cutoff(s, Theta.shape)
-        factors = (U[:, keep], s[keep, None], Vh[keep])
+    if G is None:
+        G = _pinv(Theta)
         if memo is not None:
-            memo["pinv"] = key, factors
-    U_keep, s_keep, Vh_keep = factors
-    if s_keep.size == 0:
-        return np.zeros((Theta.shape[1], Y.shape[1]))
-    coef = (U_keep.T @ Y) / s_keep
-    return Vh_keep.T @ coef
+            memo["pinv"] = key, G
+    return G @ Y
 
 
 def condition_number(Theta) -> float:

@@ -11,7 +11,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from sparsesense import evaluation, kernels
+from sparsesense import evaluation, kernels, linalg
 from sparsesense.basis import Basis, _gram_modes, randomized_basis, svd_basis
 from sparsesense.dataset import Dataset, SpectrumSpec, overall_variance, split, synthesize
 from sparsesense.evaluation import (
@@ -882,22 +882,26 @@ _PER_PLAN = ("_get_plan", "measure")
 
 
 def _count_work(monkeypatch, sweep):
-    """Run sweep() counting SVDs, distinct Thetas, per-trial layer calls and
-    the per-plan work of building plans and Thetas."""
+    """Run sweep() counting split bases, factorizations of a Theta into its
+    pseudoinverse (either route, as "factor"), distinct Thetas, per-trial
+    layer calls and the per-plan work of building plans and Thetas."""
     calls = []  # list.append is atomic, so pool threads record without a lock
     thetas = set()
+    bases = []  # keeps every basis alive, so its id names one basis
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             calls.append(name)
             if name == "reconstruct":
                 basis, plan = args[0], args[1]
+                bases.append(basis)
                 thetas.add((id(basis), plan.locations.tobytes()))
             return fn(*args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    monkeypatch.setattr(linalg, "_pinv", counting("factor", linalg._pinv))
+    monkeypatch.setattr(evaluation, "svd_basis", counting("svd_basis", evaluation.svd_basis))
     for name in _PER_TRIAL + _PER_PLAN:
         monkeypatch.setattr(evaluation, name, counting(name, getattr(evaluation, name)))
     results = sweep()
@@ -927,8 +931,8 @@ def test_sweep_factors_each_theta_once(monkeypatch):
     )
     # (4, 5), (4, 10) and (6, 10) oversample per cv draw; (6, 5) is QR-only.
     assert thetas == 3 * config.n_splits * config.n_placement_cv + config.n_splits
-    # The randomized basis needs no SVD, so every SVD factors one Theta.
-    assert counts["svd"] == thetas
+    # Each distinct Theta is factored once, by QR or by the SVD.
+    assert counts["factor"] == thetas
     for name in _PER_TRIAL:
         assert counts[name] == len(results) * config.trials
     # Each group builds its plan and its Theta once.
@@ -947,8 +951,9 @@ def test_mf_sweep_factors_each_theta_once(monkeypatch):
             results, counts, thetas = _count_work(
                 patch, lambda: mf_sweep(config, threads=2)
             )
-        # One basis SVD per split, then one SVD per distinct Theta.
-        assert counts["svd"] == config.n_splits + thetas
+        # One basis per split, then one factorization per distinct Theta.
+        assert counts["svd_basis"] == config.n_splits
+        assert counts["factor"] == thetas
         assert thetas < counts["lstsq_minnorm"]
         for name in _PER_TRIAL:
             assert counts[name] == len(results) * config.trials
@@ -985,23 +990,23 @@ def test_groups_shared_across_cv_draws_are_factored_once_under_contention(monkey
     )
     grid = [10, 20, 30], [20, 40, 60]
     sequential = sweep_modes_sensors(config, *grid, threads=1)
-    svds = []
-    svd = np.linalg.svd
+    factored = []
+    pinv = linalg._pinv
 
-    def counting_svd(*args, **kwargs):
-        svds.append(1)
-        return svd(*args, **kwargs)
+    def counting_pinv(theta):
+        factored.append(1)
+        return pinv(theta)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(linalg, "_pinv", counting_pinv)
     monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            svds.clear()
+            factored.clear()
             assert sweep_modes_sensors(config, *grid, threads=8) == sequential
-            # The randomized basis needs no SVD: one SVD per cell's Theta.
-            assert len(svds) == len(sequential)
+            # One factorization, by either route, per cell's Theta.
+            assert len(factored) == len(sequential)
     finally:
         sys.setswitchinterval(interval)
 
@@ -1556,6 +1561,37 @@ def test_an_error_stops_the_split_stage(monkeypatch, threads):
         sweep_modes_sensors(config, [4, 6], [5, 10], threads=threads)
     assert len(splits) < config.n_splits
     assert len(slow) < 4 * (config.n_placement_cv - 1) * config.n_noise
+
+
+def test_an_error_in_a_newer_split_ends_the_sweep_while_the_oldest_runs(monkeypatch):
+    # Two workers: split 0's one (split, cv) task is slow on the first,
+    # while split 1's fails on the second. The calling thread has built its
+    # window of workers + 1 splits and waits; it must see split 1's error
+    # at once, not after split 0 ends.
+    splits, slow = [], []  # split calls; the split-0 trials that ran
+    split_impl = evaluation.split
+
+    def counting_split(*args):
+        splits.append(1)
+        return split_impl(*args)
+
+    def failing_trial(config, s, c, z, cell, cache):
+        if s == 1:
+            raise RuntimeError("trial failed")
+        if s == 0:
+            time.sleep(0.05)
+            slow.append(cell)
+        return 0.0
+
+    monkeypatch.setattr(evaluation, "split", counting_split)
+    monkeypatch.setattr(evaluation, "run_trial", failing_trial)
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 2)
+    config = _noisy_config(n_splits=8, n_placement_cv=1)
+    with pytest.raises(RuntimeError, match="trial failed"):
+        sweep_modes_sensors(config, [4, 6], [5, 10], threads=2)
+    # No split is built after the error, and split 0 stops at its next plan.
+    assert len(splits) == 3
+    assert len(slow) < 4 * config.n_noise
 
 
 def test_each_split_builds_one_noise_model(monkeypatch):

@@ -1,5 +1,8 @@
 """Core linear algebra contracts: CPQR, least squares, random factories."""
 
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -305,6 +308,15 @@ def test_lstsq_dimension_mismatch():
         lstsq_minnorm(np.eye(3), np.ones((4, 2)))
 
 
+def _count_factorizations(monkeypatch) -> list:
+    """Record each factorization of a Theta into its pseudoinverse, by
+    either route, from now on."""
+    calls = []
+    pinv_impl = linalg._pinv
+    monkeypatch.setattr(linalg, "_pinv", lambda theta: calls.append(1) or pinv_impl(theta))
+    return calls
+
+
 def _rank_deficient_theta():
     rng = np.random.default_rng(5)
     return rng.standard_normal((12, 3)) @ rng.standard_normal((3, 5))
@@ -324,11 +336,7 @@ def test_lstsq_memo_is_bit_identical_and_factors_once(theta, monkeypatch):
     rng = np.random.default_rng(11)
     rhs = [rng.standard_normal((theta.shape[0], k)) for k in (1, 4, 4, 9)]
     fresh = [lstsq_minnorm(theta, Y) for Y in rhs]
-    calls = []
-    svd_impl = np.linalg.svd
-    monkeypatch.setattr(
-        np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd_impl(*a, **kw)
-    )
+    calls = _count_factorizations(monkeypatch)
     memo = {}
     for Y, want in zip(rhs, fresh):
         assert np.array_equal(lstsq_minnorm(theta, Y, memo=memo), want)
@@ -369,11 +377,7 @@ def test_lstsq_memo_answers_only_for_the_theta_that_filled_it(monkeypatch):
     B = rng.standard_normal((8, 5))
     Y = rng.standard_normal((8, 2))
     fresh = {id(theta): lstsq_minnorm(theta, Y) for theta in (A, B)}
-    calls = []
-    svd_impl = np.linalg.svd
-    monkeypatch.setattr(
-        np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd_impl(*a, **kw)
-    )
+    calls = _count_factorizations(monkeypatch)
     memo = {}
     for theta in (A, A, B, B, A):
         assert np.array_equal(lstsq_minnorm(theta, Y, memo=memo), fresh[id(theta)])
@@ -393,6 +397,151 @@ def test_condition_number_cases():
     assert condition_number(np.eye(5)) == 1.0
     assert condition_number(np.diag([4.0, 2.0])) == pytest.approx(2.0)
     assert condition_number(np.array([[1.0, 1.0], [1.0, 1.0]])) == np.inf
+
+
+def _solve_counting_routes(monkeypatch, theta, Y):
+    """lstsq_minnorm(theta, Y) with its route: "svd" when the factorization
+    called np.linalg.svd, "qr" when it did not."""
+    svds = []
+    svd_impl = np.linalg.svd
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(1) or svd_impl(*a, **kw))
+        out = lstsq_minnorm(theta, Y)
+    assert len(svds) <= 1
+    return out, "svd" if svds else "qr"
+
+
+def _with_spectrum(p, r, s, seed):
+    """A p x r Theta with singular values s between seeded orthonormal
+    frames."""
+    k = len(s)
+    U = random_orthonormal_columns(p, k, seed)
+    V = random_orthonormal_columns(r, k, seed + 1)
+    return (U * np.asarray(s, dtype=float)) @ V.T
+
+
+def _at_the_margin(p, r, factor, seed):
+    """A p x r Theta whose ||pinv(Theta)||_F ||Theta||_F is factor times the
+    largest value the QR route admits: min(p, r) - 1 singular values 1 and
+    one t < 1."""
+    a = min(p, r) - 1
+    B = factor / (max(p, r) * np.finfo(float).eps * linalg._QR_MARGIN)
+    # (a + t^2)(a + 1 / t^2) = B^2 is a quadratic in u = t^2 whose roots
+    # multiply to 1; 1 / (the larger root) avoids cancellation.
+    b = B * B - a * a - 1.0
+    t = np.sqrt(2.0 * a / (b + np.sqrt(b * b - 4.0 * a * a)))
+    return _with_spectrum(p, r, [1.0] * a + [t], seed)
+
+
+def _kahan(n, c):
+    """Kahan's n x n upper triangular matrix: diag(1, s, ..., s^(n-1)) times
+    (I - c * the strict upper ones), with s = sqrt(1 - c^2). Its diagonal is
+    at least s^(n-1), yet sigma_min is far smaller."""
+    s = np.sqrt(1.0 - c * c)
+    return np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+
+
+def _duplicated_rows(shape, seed):
+    theta = np.random.default_rng(seed).standard_normal(shape)
+    theta[1::2] = theta[::2][: theta[1::2].shape[0]]
+    return theta
+
+
+def _zero_column(seed):
+    theta = np.random.default_rng(seed).standard_normal((12, 5))
+    theta[:, 2] = 0.0
+    return theta
+
+
+_ROUTE_CASES = {
+    "tall": (np.random.default_rng(31).standard_normal((30, 10)), "qr"),
+    "wide": (np.random.default_rng(32).standard_normal((10, 30)), "qr"),
+    "square": (np.random.default_rng(33).standard_normal((12, 12)) + 4 * np.eye(12), "qr"),
+    "column": (np.random.default_rng(34).standard_normal((7, 1)), "qr"),
+    "row": (np.random.default_rng(35).standard_normal((1, 7)), "qr"),
+    "rank-deficient": (_rank_deficient_theta(), "svd"),
+    "rank-deficient-wide": (_rank_deficient_theta().T, "svd"),
+    "just-inside-margin": (_at_the_margin(40, 20, 0.95, 36), "qr"),
+    "just-outside-margin": (_at_the_margin(40, 20, 1.05, 36), "svd"),
+    "just-inside-margin-wide": (_at_the_margin(20, 40, 0.95, 37), "qr"),
+    "just-outside-margin-wide": (_at_the_margin(20, 40, 1.05, 37), "svd"),
+    "duplicate-rows-tall": (_duplicated_rows((14, 5), 38), "qr"),
+    "duplicate-rows-wide": (_duplicated_rows((6, 9), 39), "svd"),
+    "zero-column": (_zero_column(40), "svd"),
+    "all-zero": (np.zeros((6, 3)), "svd"),
+    "all-zero-wide": (np.zeros((3, 6)), "svd"),
+    # sigma_min below the cutoff, though R's diagonal is at least 2e-4.
+    "kahan-singular": (random_orthonormal_columns(120, 60, 41) @ _kahan(60, 0.5), "svd"),
+    # sigma_min / sigma_max about 1e-12: above the cutoff, past the margin.
+    "kahan-ill-conditioned": (random_orthonormal_columns(180, 90, 42) @ _kahan(90, 0.285), "svd"),
+    "kahan-mild": (random_orthonormal_columns(40, 20, 43) @ _kahan(20, 0.3), "qr"),
+}
+
+
+def _check_against_pinv(theta, out, Y):
+    """out is pinv(theta) @ Y, with the same cutoff as rank_cutoff, to
+    within 10 max(dims) eps times the condition number of the kept
+    spectrum, relative to ||pinv(theta)||_2 ||Y||_F."""
+    s = np.linalg.svd(theta, compute_uv=False)
+    cutoff = linalg.rank_cutoff(s, theta.shape)
+    pinv = np.linalg.pinv(theta, rcond=max(theta.shape) * np.finfo(float).eps)
+    want = pinv @ Y
+    kept = s[s > cutoff]
+    if kept.size == 0:
+        assert not out.any() and not want.any()
+        return
+    scale = np.linalg.norm(Y) / kept[-1]
+    tol = 10 * max(theta.shape) * np.finfo(float).eps * kept[0] / kept[-1]
+    assert np.linalg.norm(out - want) <= tol * scale
+
+
+@pytest.mark.parametrize("name", list(_ROUTE_CASES))
+def test_lstsq_route_matches_pinv_and_never_takes_qr_at_the_cutoff(name, monkeypatch):
+    theta, route = _ROUTE_CASES[name]
+    Y = np.random.default_rng(44).standard_normal((theta.shape[0], 3))
+    out, taken = _solve_counting_routes(monkeypatch, theta, Y)
+    _check_against_pinv(theta, out, Y)
+    s = np.linalg.svd(theta, compute_uv=False)
+    if s[-1] <= linalg.rank_cutoff(s, theta.shape):
+        assert route == "svd"
+    assert taken == route
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_lstsq_certificate_overflow_takes_the_svd_quietly(scale, monkeypatch):
+    # ||G||_F or ||R||_F overflows or underflows at these scales, so the
+    # certificate cannot be evaluated and the SVD solves, with no warning.
+    theta = np.random.default_rng(46).standard_normal((8, 4))
+    Y = np.random.default_rng(47).standard_normal((8, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, taken = _solve_counting_routes(monkeypatch, scale * theta, Y)
+    assert taken == "svd"
+    np.testing.assert_allclose(out * scale, lstsq_minnorm(theta, Y), rtol=1e-12)
+
+
+def test_lstsq_routes_on_seeded_spectra(monkeypatch):
+    # Shapes from 1 to 24 on a side, spectra decaying geometrically over 0
+    # to 20 decades, some with exact zeros: every Theta with a singular
+    # value at or below rank_cutoff is solved by the SVD, and every
+    # solution is pinv(Theta) @ Y.
+    rng = np.random.default_rng(45)
+    routes = Counter()
+    for case in range(120):
+        p, r = (int(v) for v in rng.integers(1, 25, size=2))
+        k = min(p, r)
+        s = 10.0 ** (-rng.uniform(0, 20) * np.linspace(0, 1, k))
+        zeros = int(rng.integers(1, k + 1)) if rng.random() < 0.2 else 0
+        s[k - zeros:] = 0.0
+        theta = _with_spectrum(p, r, s * 10.0 ** rng.uniform(-5, 5), 1000 + case)
+        Y = rng.standard_normal((p, 2))
+        out, taken = _solve_counting_routes(monkeypatch, theta, Y)
+        _check_against_pinv(theta, out, Y)
+        sv = np.linalg.svd(theta, compute_uv=False)
+        if sv[-1] <= linalg.rank_cutoff(sv, theta.shape):
+            assert taken == "svd", (case, p, r)
+        routes[taken] += 1
+    assert min(routes["qr"], routes["svd"]) >= 20, routes
 
 
 # ---------------------------------------------------------------------------
