@@ -14,14 +14,16 @@ built from: for SVD sweeps the SVD basis of the leading modes, as many as
 the largest r asked of the split, so no training matrix outlives its
 split's modes, for randomized sweeps the training matrix. One per
 (split, r) holds the basis (for SVD sweeps a view of the split's
-leading modes), its CPQR pivots, the test set in an orthonormal frame of
-the basis and the longest odeim-e plan built so far. While a sweep runs the
-trials that share one sensor plan, it also memoizes what is fixed for that
-plan: the plan itself, each composition's per-sensor noise levels, the
-measurement matrix Theta and its pseudoinverse; and while it runs the
-trials of one (split, cv) draw, their standard-normal noise draws, each
-drawn once at the sweep's largest p. Those plan groups and draws belong to
-the task that runs the (split, cv) draw, the two records to the split.
+leading modes), its CPQR pivots and the longest odeim-e plan built so
+far, all from the split's pivot task, and the test set in an orthonormal
+frame of the basis, built by the first trial that needs it. While a
+sweep runs the trials that share one sensor plan, it also memoizes what
+is fixed for that plan: the plan itself, each composition's per-sensor
+noise levels, the measurement matrix Theta and its pseudoinverse; and
+while it runs the trials of one (split, cv) draw, their standard-normal
+noise draws, each drawn once at the sweep's largest p. Those plan groups
+and draws belong to the task that runs the (split, cv) draw, the two
+records to the split.
 All are pure accelerators: SVD modes have the same bits at every r
 (:func:`basis.svd_basis`), and a draw's first p rows are the draw at p
 rows (:func:`multifidelity.noisy_measure`), so results are bit-for-bit
@@ -53,7 +55,14 @@ import math
 import os
 import threading
 import warnings
-from concurrent.futures import FIRST_COMPLETED, Executor, Future, ThreadPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    CancelledError,
+    Executor,
+    Future,
+    ThreadPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass, field, fields
 from hashlib import sha256
 
@@ -229,9 +238,12 @@ class _SweepCache:
     the :class:`_PairRecord` of split s at r modes; both live as long as the
     cache. A sweep gives each split a cache of its own, which holds that
     split's records and nothing else: ``splits`` is filled on the calling
-    thread before the split's tasks are submitted and only read after; each
-    ``pairs`` entry is written only by the (split, r) task that builds it,
-    before any trial reads it. The cache goes with the split's last task.
+    thread before the split's tasks are submitted and only read after; the
+    split's pivot task writes each ``pairs`` entry (basis, pivots) before
+    it publishes that rank, and so before any trial of the rank reads it.
+    A pair's test coordinates are the one part filled later, by the first
+    trial that needs them, under the pair's own lock. The cache goes with
+    the split's last task.
 
     ``solves`` and ``draws`` serve one (split, cv) draw. Only the view that
     a (split, cv) task of :func:`_sweep_errors` makes of the cache fills
@@ -246,9 +258,9 @@ class _SweepCache:
     it measured, and Theta's pseudoinverse through :func:`lstsq_minnorm`,
     with that Theta; each reuses its entry only for the same objects, which
     every trial of the plan passes. The groups every cv draw of a split
-    shares (QR-only plans and odeim-e tails) come from its (split, r) tasks
-    and are the same objects in every view of the split; a view opens the
-    group of each of its own random tails, one at a time.
+    shares (QR-only plans and odeim-e tails) come from its pivot task, one
+    rank at a time, and are the same objects in every view of the split; a
+    view opens the group of each of its own random tails, one at a time.
 
     ``draws[z]`` is noise seed z's standard-normal draw at the sweep's
     largest p; :func:`run_trial` hands :func:`noisy_measure` the first p
@@ -281,26 +293,50 @@ class _SplitRecord:
 @dataclass
 class _PairRecord:
     """One split at r modes: the basis, its first min(r, n) CPQR pivots,
-    the test set in an orthonormal frame Q of the basis, and the longest
-    odeim-e plan built so far.
+    the longest odeim-e plan built so far, and the test set in an
+    orthonormal frame Q of the basis once a trial has asked for it.
 
-    With Psi = Q F, ``frame`` is F, or None when the basis is its own frame
-    (SVD modes, F = I); ``coords`` is A = Q^T X_test and ``perp2`` is
+    ``coords`` is None until :func:`_get_coords` builds it, under ``lock``,
+    as (F, A, perp2). With Psi = Q F, F is None when the basis is its own
+    frame (SVD modes, F = I); A = Q^T X_test and perp2 is
     ||X_test - Q A||_F^2, the part of the test set that no estimate in
     range(Psi) reaches. Q itself is read only to build these.
     """
 
     basis: Basis
     pivots: np.ndarray
-    frame: np.ndarray | None
-    coords: np.ndarray
-    perp2: float
     greedy: SensorPlan | None = None
+    coords: tuple | None = None
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
 
 def _sumsq(a: np.ndarray) -> float:
     """Sum of squares of every entry of a, ||a||_F^2."""
     return float(np.vdot(a, a))
+
+
+def _get_coords(config, sd, pair) -> tuple:
+    """The pair's (F, A, perp2) (see :class:`_PairRecord`). The first
+    caller builds them under the pair's lock, which only that build holds,
+    so trials of several cv draws that reach a new rank at once build them
+    once."""
+    coords = pair.coords
+    if coords is None:
+        with pair.lock:
+            coords = pair.coords
+            if coords is None:
+                if config.basis_kind == "svd":
+                    Q, F = pair.basis.psi, None
+                else:
+                    Q, F = np.linalg.qr(pair.basis.psi)
+                A = Q.T @ sd.test
+                # perp2 is the residual's own square sum: ||X||^2 - ||A||^2
+                # would cancel to about eps ||X||^2 and turn exact recovery
+                # into ~1e-8.
+                perp = Q @ A
+                perp -= sd.test
+                coords = pair.coords = F, A, _sumsq(perp)
+    return coords
 
 
 def _get_split(config, cache, split_idx, r) -> _SplitRecord:
@@ -332,24 +368,17 @@ def _get_split(config, cache, split_idx, r) -> _SplitRecord:
 
 
 def _get_pair(config, cache, split_idx, r) -> _PairRecord:
+    """Pair (split_idx, r)'s record: its basis and CPQR pivots, with no
+    test coordinates until :func:`_get_coords` builds them."""
     pair = cache.pairs.get((split_idx, r))
     if pair is None:
         sd = _get_split(config, cache, split_idx, r)
         if config.basis_kind == "svd":
             basis = truncate_basis(sd.source, r)
-            Q, F = basis.psi, None
         else:
             seed = derive_seed(config.master_seed, _TAG_BASIS, split_idx)
             basis = randomized_basis(sd.source, r, seed)
-            Q, F = np.linalg.qr(basis.psi)
-        A = Q.T @ sd.test
-        # perp2 is the residual's own square sum: ||X||^2 - ||A||^2 would
-        # cancel to about eps ||X||^2 and turn exact recovery into ~1e-8.
-        perp = Q @ A
-        perp -= sd.test
-        pair = _PairRecord(
-            basis, qr_pivots(basis, min(r, basis.n)).locations, F, A, _sumsq(perp)
-        )
+        pair = _PairRecord(basis, qr_pivots(basis, min(r, basis.n)).locations)
         cache.pairs[split_idx, r] = pair
     return pair
 
@@ -419,7 +448,8 @@ def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
     identical output on one platform.
 
     ``cache`` is a :class:`_SweepCache`; a trial reads and fills its split
-    and pair records. Its plan group and noise draw come from the cache's
+    and pair records, the pair's test coordinates included. Its plan group
+    and noise draw come from the cache's
     ``solves`` and ``draws`` when it holds them, which only a sweep task's
     view of one (split, cv) draw does, and are built for the trial
     otherwise.
@@ -436,6 +466,7 @@ def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
     with kernels.single_blas_thread():
         sd = _get_split(config, cache, split_idx, r)
         pair = _get_pair(config, cache, split_idx, r)
+        frame, coords, perp2 = _get_coords(config, sd, pair)
         group = cache.solves.get((r, p))
         if group is None:
             group = _plan_group(config, cache, split_idx, cv_idx, r, p, [comp])
@@ -454,10 +485,10 @@ def run_trial(config, split_idx, cv_idx, noise_idx, cell, cache=None) -> float:
         with group.get("lock") or contextlib.nullcontext():
             diff = reconstruct(pair.basis, plan, Y, memo=group, coefficients=True)
         group.pop("lock", None)
-        if pair.frame is not None:
-            diff = pair.frame @ diff
-        diff -= pair.coords
-        return math.sqrt(pair.perp2 + _sumsq(diff)) / sd.test_norm
+        if frame is not None:
+            diff = frame @ diff
+        diff -= coords
+        return math.sqrt(perp2 + _sumsq(diff)) / sd.test_norm
 
 
 class _InlineExecutor(Executor):
@@ -475,47 +506,56 @@ def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
     """Errors of every trial of every cell, each in (split, cv, noise) order.
 
     Splits stream through one submission loop. For split s the calling
-    thread first waits until at most ``workers`` splits have (split, cv)
-    tasks left, on the tasks of every such split at once, so the first
-    error of any of them is raised as soon as its task ends; then builds
-    split s's record, with the SVD basis of the sweep's largest r for SVD
-    bases, into a cache of the split's own (an SVD split drops its training
-    matrix once that basis exists); then submits one task per (split, r),
-    largest r first, and one per (split, cv), all with that cache; and then
-    drops its own references to the cache and the (split, r) futures. So
-    at most workers + 1 splits are alive at once, and the split stage
-    overlaps the trials of the splits before it.
+    thread first waits until at most ``workers`` splits have tasks left, on
+    the tasks of every such split at once, so the first error of any of
+    them is raised as soon as its task ends; then builds split s's record,
+    with the SVD basis of the sweep's largest r for SVD bases, into a cache
+    of the split's own (an SVD split drops its training matrix once that
+    basis exists); then submits the split's pivot task and one task per
+    (split, cv), all with that cache and one future per rank of the sweep;
+    and then drops its own references to the cache and the futures. So at
+    most workers + 1 splits are alive at once, and the split stage overlaps
+    the trials of the splits before it.
 
-    A (split, r) task builds that pair's record (basis, CPQR pivots) and
-    returns the plan groups that every cv draw of the split shares (QR-only
-    plans and odeim-e tails), largest p first, so that for odeim-e the
-    first builds the tail every later one takes a prefix of.
+    The pivot task walks the ranks largest first. For each it builds the
+    pair record (basis, CPQR pivots) and the plan groups that every cv draw
+    of the split shares (QR-only plans and odeim-e tails), longest p first,
+    so that for odeim-e the first builds the tail every later one takes a
+    prefix of; then it publishes them through the rank's future and goes on
+    to the next rank. So a split's CPQRs run one after another, on one
+    worker, and trials start once the first rank is out.
 
     A (split, cv) task works in its own view of the split's cache: the
     split and pair records, with ``solves`` and ``draws`` of its own. It
-    merges in the groups its split's (split, r) tasks return, waiting for
-    each, draws each of its n_noise standard-normal arrays once, at the
-    sweep's largest p = P, and runs every trial of the (split, cv), plan by
-    plan, writing each error by index. The cells measured with one plan
-    share its group, so each distinct Theta is factored once, and every
-    trial takes the first p rows of its shared draw, bit for bit its own
-    draw at p. The task opens the group of a random tail itself and drops
-    it when the plan's trials are done. Only a split's (split, cv) tasks
-    hold its cache and its (split, r) futures, so its records and shared
-    groups go when the last of them ends. A running task holds at most
-    n_noise x P x m_test doubles of draws, and a repeated cell is run once.
+    draws each of its n_noise standard-normal arrays once, at the sweep's
+    largest p = P, then runs its trials rank by rank in the same order:
+    it waits for a rank's future only when it reaches that rank, merges in
+    the rank's groups and runs every trial of the rank's plans, writing
+    each error by index. The first trial of a rank builds the pair's test
+    coordinates (A = Q^T X_test, perp2 and, for randomized bases, the frame
+    F), so that work runs beside the pivot task. The cells measured with
+    one plan share its group, so each distinct Theta is factored once, and
+    every trial takes the first p rows of its shared draw, bit for bit its
+    own draw at p. The task opens the group of a random tail itself and
+    drops it when the plan's trials are done. Only a split's tasks hold its
+    cache and its rank futures, so its records and shared groups go when
+    the last of them ends. A running task holds at most n_noise x P x
+    m_test doubles of draws, and a repeated cell is run once.
 
     The tasks go to one pool of min(threads, cpu count) workers; with one
     worker an :class:`_InlineExecutor` runs each as it is submitted, on the
-    calling thread. A (split, cv) task waits only for tasks submitted
-    before it, which the FIFO pool has already started, so the wait cannot
-    deadlock. The pool only reads a split record, a pair record is written
-    only by its own task, before any trial reads it, and the first trial
-    of a group factors Theta under the group's lock, so results do not
-    depend on the schedule. A sweep with one split and one cv draw runs its
-    trials on one worker. An error or an interrupt ends the sweep now:
-    queued tasks are cancelled and running ones stop before their next
-    plan.
+    calling thread. A (split, cv) task waits only for its split's pivot
+    task, submitted before it, which the FIFO pool has already started, so
+    the wait cannot deadlock. The pool only reads a split record; the pivot
+    task writes a pair's basis and pivots before it publishes the rank,
+    the first trial of a rank builds its coordinates under the pair's lock,
+    and the first trial of a group factors Theta under the group's lock, so
+    results do not depend on the schedule. A sweep with one split and one
+    cv draw runs its trials on one worker. An error or an interrupt ends
+    the sweep now: a task that raises sets the stop flag itself, queued
+    tasks are cancelled, running ones stop before their next plan or rank,
+    and a pivot task that raises or stops cancels every rank it has not
+    published, so no task waits for a rank that will never come.
     """
     n_cv, n_noise = config.n_placement_cv, config.n_noise
     errors = {cell: np.empty(config.trials) for cell in cells}
@@ -530,51 +570,75 @@ def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
     draw_shape = (max(p for _, p in plans), config.dataset.m - config.m_train)
     stop = threading.Event()
 
-    def prepare(cache, s, r):
-        _get_pair(config, cache, s, r)
-        groups = {}
-        # Longest p first: its plan builds the odeim-e tail that every
-        # shorter p of this (split, r) takes a prefix of.
-        for p in sorted((p for rp, p in plans if rp == r), reverse=True):
-            if stop.is_set():
-                break
-            if not _plan_varies_with_cv(config, r, p):
-                # Every cv draw gives this plan; draw 0 stands for them all.
-                groups[r, p] = _plan_group(config, cache, s, 0, r, p, comps[r, p])
-        return groups
+    def stopping(task, *args):
+        # A task that raises sets the stop flag itself, so the other tasks
+        # end at their next plan without waiting for the calling thread.
+        try:
+            return task(*args)
+        except BaseException:
+            stop.set()
+            raise
 
-    def run_trials(cache, s, c, shared):
+    def publish(cache, s, published):
+        try:
+            for r, future in zip(ranks, published):
+                if stop.is_set():
+                    break
+                _get_pair(config, cache, s, r)
+                groups = {}
+                # Longest p first: its plan builds the odeim-e tail that
+                # every shorter p of this (split, r) takes a prefix of.
+                for p in sorted((p for rp, p in plans if rp == r), reverse=True):
+                    if not _plan_varies_with_cv(config, r, p):
+                        # Every cv draw gives this plan; draw 0 stands for them all.
+                        groups[r, p] = _plan_group(config, cache, s, 0, r, p, comps[r, p])
+                future.set_result(groups)
+        finally:
+            # A stop or an error leaves ranks unpublished: cancel them, so
+            # no task waits for them. A no-op on published ranks; an error
+            # is raised from this task's own future.
+            for future in published:
+                future.cancel()
+
+    def run_trials(cache, s, c, published):
         view = copy.copy(cache)
-        view.solves = {rp: group for groups in shared for rp, group in groups.items()}
-        view.draws = {}
+        view.solves, view.draws = {}, {}
         for z in range(n_noise):
             seed = derive_seed(config.master_seed, _TAG_NOISE, s, c, z)
             view.draws[z] = np.random.default_rng(seed).standard_normal(draw_shape)
         row = (s * n_cv + c) * n_noise
-        for (r, p), users in plans.items():
+        for r, future in zip(ranks, published):
+            # The stop flag is set before the pool cancels its queued
+            # tasks, so a task past this check waits on a pivot task that
+            # has started, and that cancels every rank it does not publish.
             if stop.is_set():
                 return
-            own = _plan_varies_with_cv(config, r, p)
-            if own:
-                view.solves[r, p] = _plan_group(config, view, s, c, r, p, comps[r, p])
-            for _, cell, out in users:
-                for z in range(n_noise):
-                    out[row + z] = run_trial(config, s, c, z, cell, view)
-            if own:
-                del view.solves[r, p]
+            try:
+                view.solves.update(future.result())
+            except CancelledError:
+                return  # the pivot task stopped, or raised its own error
+            for (rp, p), users in plans.items():
+                if rp != r:
+                    continue
+                if stop.is_set():
+                    return
+                own = _plan_varies_with_cv(config, r, p)
+                if own:
+                    view.solves[r, p] = _plan_group(config, view, s, c, r, p, comps[r, p])
+                for _, cell, out in users:
+                    for z in range(n_noise):
+                        out[row + z] = run_trial(config, s, c, z, cell, view)
+                if own:
+                    del view.solves[r, p]
 
     def submit_split(pool, s):
-        # The split's cache and (split, r) futures are locals: once this
-        # returns, only the split's tasks hold them.
+        # The split's cache and rank futures are locals: once this returns,
+        # only the split's tasks hold them, and so the shared groups.
         cache = _SweepCache()
         _get_split(config, cache, s, ranks[0])
-        prepared = [pool.submit(prepare, cache, s, r) for r in ranks]
-        # Each (split, cv) task gets a lazy map of its own: it waits for the
-        # (split, r) futures itself, and the split's tasks keep them, and
-        # so the shared groups, alive.
-        return [
-            pool.submit(run_trials, cache, s, c, map(Future.result, prepared))
-            for c in range(n_cv)
+        published = [Future() for _ in ranks]
+        return [pool.submit(stopping, publish, cache, s, published)] + [
+            pool.submit(stopping, run_trials, cache, s, c, published) for c in range(n_cv)
         ]
 
     def settle(pending, keep):
@@ -593,9 +657,11 @@ def _sweep_errors(config, cells, threads) -> list[np.ndarray]:
         workers = min(threads, os.cpu_count() or 1)
         with ThreadPoolExecutor(workers) if workers > 1 else _InlineExecutor() as pool:
             try:
-                pending = []  # the unfinished (split, cv) futures of each split
+                pending = []  # the unfinished futures of each split's tasks
                 for s in range(config.n_splits):
                     settle(pending, workers)
+                    if stop.is_set():
+                        break  # a task failed; the last settle raises its error
                     pending.append(submit_split(pool, s))
                 settle(pending, 0)
             except BaseException:

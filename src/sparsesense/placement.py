@@ -70,7 +70,10 @@ class PlacementPolicy:
         """Mode count for p sensors, at most ``limit`` when one is given.
 
         Callers pass min(n, m) of the matrix the basis is built from, or the
-        r of a basis already built: more modes than that add nothing.
+        r of a basis already built: more modes than that add nothing. So the
+        ``place`` command limits by min(n, m) of the whole data file, from
+        which it builds its basis, while sweeps limit by min(n, m_train) of
+        each split's training set; each is right for its own matrix.
         """
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")

@@ -1594,6 +1594,134 @@ def test_an_error_in_a_newer_split_ends_the_sweep_while_the_oldest_runs(monkeypa
     assert len(slow) < 4 * config.n_noise
 
 
+def _ended_within(seconds, sweep):
+    """Run sweep() on a thread of its own, which must end within
+    ``seconds``, so a sweep that hangs fails the test instead of stalling
+    the run; returns the error it raised, or None."""
+    raised = []
+
+    def run():
+        try:
+            sweep()
+        except BaseException as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"the sweep did not end within {seconds} s"
+    return raised[0] if raised else None
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_a_pivot_error_wakes_every_task_waiting_for_its_ranks(monkeypatch, threads):
+    # Each split's pivot task publishes its first rank, then fails on the
+    # second once the (split, cv) tasks have run the first and wait for
+    # it: they must wake, the pool must shut down and the sweep must raise
+    # the pivot task's error.
+    ranks = [8, 6, 4]
+    ran = []  # the rank of every trial that ran
+    trial_ran = threading.Event()
+    pivots, trial = evaluation.qr_pivots, evaluation.run_trial
+
+    def failing_pivots(basis, k):
+        if basis.r == ranks[1]:
+            if threads > 1:
+                # At threads = 1 no trial runs before the pivot task ends.
+                trial_ran.wait(5)
+                time.sleep(0.1)
+            raise RuntimeError("pivots failed")
+        return pivots(basis, k)
+
+    def recording_trial(config, s, c, z, cell, cache):
+        ran.append(cell[0])
+        trial_ran.set()
+        return trial(config, s, c, z, cell, cache)
+
+    monkeypatch.setattr(evaluation, "qr_pivots", failing_pivots)
+    monkeypatch.setattr(evaluation, "run_trial", recording_trial)
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 4)
+    config = _noisy_config(n_splits=4)
+    raised = _ended_within(
+        30, lambda: sweep_modes_sensors(config, ranks, [5, 10], threads=threads)
+    )
+    assert isinstance(raised, RuntimeError) and str(raised) == "pivots failed"
+    # No rank after the failed one was published.
+    assert set(ran) == ({ranks[0]} if threads > 1 else set())
+
+
+def test_after_a_failure_each_other_worker_ends_within_its_plan(monkeypatch):
+    # A task that raises sets the stop flag itself, so every other worker
+    # finishes at most the plan it was in when the trial failed: here one
+    # cell, so at most n_noise = 3 trials. When only the calling thread set
+    # the flag, after it woke, 0-42 more trials ran on this probe.
+    failures, started = [], []  # when a trial failed; (thread, split, cv, cell, start)
+    trial = evaluation.run_trial
+
+    def failing_trial(config, s, c, z, cell, cache):
+        if s == 3:
+            failures.append(time.perf_counter())
+            raise RuntimeError("trial failed")
+        started.append((threading.get_ident(), s, c, cell, time.perf_counter()))
+        return trial(config, s, c, z, cell, cache)
+
+    monkeypatch.setattr(evaluation, "run_trial", failing_trial)
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 2)
+    config = _noisy_config(n_splits=12)
+    for _ in range(5):
+        failures.clear()
+        started.clear()
+        with pytest.raises(RuntimeError, match="trial failed"):
+            sweep_modes_sensors(config, [4, 6], [5, 10], threads=2)
+        late = Counter(
+            (thread, s, c, cell)
+            for thread, s, c, cell, start in started
+            if start > min(failures)
+        )
+        # Per thread at most one plan of one (split, cv) draw.
+        threads = [thread for thread, *_ in late]
+        assert len(threads) == len(set(threads))
+        assert all(count <= config.n_noise for count in late.values())
+
+
+def test_trials_start_before_the_last_rank_is_pivoted(monkeypatch):
+    # The last rank's pivots wait for the sweep's first trial. They get it
+    # only if trials start once the first rank is published, not the last.
+    ranks = [8, 6, 4]
+    config = _noisy_config(n_splits=1)
+    sequential = sweep_modes_sensors(config, ranks, [5, 10], threads=1)
+    first_trial = threading.Event()
+    running, overlap = [0], []  # qr_pivots calls running; the count at each start
+    count_lock = threading.Lock()
+    pivots, trial = evaluation.qr_pivots, evaluation.run_trial
+
+    def waiting_pivots(basis, k):
+        with count_lock:
+            running[0] += 1
+            overlap.append(running[0])
+        try:
+            if basis.r == ranks[-1] and not first_trial.wait(5):
+                raise RuntimeError("no trial started before the last rank's pivots")
+            return pivots(basis, k)
+        finally:
+            with count_lock:
+                running[0] -= 1
+
+    def signalling_trial(*args):
+        first_trial.set()
+        return trial(*args)
+
+    monkeypatch.setattr(evaluation, "qr_pivots", waiting_pivots)
+    monkeypatch.setattr(evaluation, "run_trial", signalling_trial)
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 2)
+    results = []
+    sweep = lambda: results.append(sweep_modes_sensors(config, ranks, [5, 10], threads=2))
+    assert _ended_within(30, sweep) is None
+    assert results == [sequential]
+    # One qr_pivots call per rank, and never two of the split at once.
+    assert overlap == [1] * len(ranks)
+
+
 def test_each_split_builds_one_noise_model(monkeypatch):
     built = []
 
@@ -1661,6 +1789,15 @@ def test_each_split_and_r_is_prepared_once_on_the_thread_of_its_trials(
         "tail", kernels.sigma_min_tail, lambda psi, prefix, count: psi))
     monkeypatch.setattr(evaluation, "run_trial", recording(
         "trial", evaluation.run_trial, lambda config, s, c, z, cell, cache: (s, c)))
+    coords = {}  # id of a pair -> the coordinates each of its trials read
+    get_coords = evaluation._get_coords
+
+    def recording_coords(config, sd, pair):
+        got = get_coords(config, sd, pair)
+        coords.setdefault(id(pair), []).append(got)
+        return got
+
+    monkeypatch.setattr(evaluation, "_get_coords", recording_coords)
     monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1703,3 +1840,9 @@ def test_each_split_and_r_is_prepared_once_on_the_thread_of_its_trials(
             threads_of.setdefault((name == "trial", key), set()).add(thread)
     assert {key for _, key in threads_of} == pairs | draws
     assert all(len(threads) == 1 for threads in threads_of.values())
+    # The first trial of each pair built its test coordinates, once: the
+    # trials of all its cv draws, racing to that rank, read that one build.
+    pairs_of = [pair for cache in caches for pair in cache.pairs.values()]
+    assert sorted(coords) == sorted(map(id, pairs_of))
+    for pair in pairs_of:
+        assert all(got is pair.coords for got in coords[id(pair)])
